@@ -71,10 +71,19 @@ fn small_power7() -> MachineConfig {
     cfg
 }
 
+/// [`small_power7`] with a two-entry load-miss queue: every workload
+/// runs under constant LMQ pressure, so the per-core stall windows open
+/// on compute-bound mixes too, not only on memory-bound ones.
+fn small_lmq_power7() -> MachineConfig {
+    let mut cfg = small_power7();
+    cfg.arch.lmq_capacity = 2;
+    cfg
+}
+
 /// The differential case matrix: machines spanning every descriptor
 /// family (generic single-queue, POWER7 multi-queue/dynamic-partitioned,
-/// Nehalem store-pair ports) × workloads spanning every synchronization
-/// and memory regime in the catalog.
+/// Nehalem store-pair ports, a starved LMQ) × workloads spanning every
+/// synchronization and memory regime in the catalog.
 fn machines() -> Vec<(MachineConfig, SmtLevel)> {
     vec![
         (MachineConfig::generic(1), SmtLevel::Smt1),
@@ -82,6 +91,7 @@ fn machines() -> Vec<(MachineConfig, SmtLevel)> {
         (small_power7(), SmtLevel::Smt4),
         (small_power7(), SmtLevel::Smt2),
         (MachineConfig::nehalem(), SmtLevel::Smt2),
+        (small_lmq_power7(), SmtLevel::Smt4),
     ]
 }
 
@@ -100,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
     #[test]
     fn fast_forward_matches_naive_bit_for_bit(
-        machine_idx in 0usize..5,
+        machine_idx in 0usize..6,
         spec_idx in 0usize..6,
     ) {
         let (cfg, smt) = machines().swap_remove(machine_idx);
@@ -124,7 +134,7 @@ proptest! {
     /// the host supports it, the auto-dispatched AVX2 kernel.
     #[test]
     fn soa_engine_matches_legacy_reference_bit_for_bit(
-        machine_idx in 0usize..5,
+        machine_idx in 0usize..6,
         spec_idx in 0usize..6,
         fast_forward in any::<bool>(),
         force_scalar in any::<bool>(),
@@ -200,6 +210,40 @@ fn windowed_counters_match_naive() {
     assert_eq!(naive.now(), fast.now());
 }
 
+/// Stall windows replay LMQ rejections and dispatch-held cycles in
+/// batches; every sampling window must still see exactly the naive
+/// per-cycle counts.
+#[test]
+fn windowed_stall_counters_match_naive() {
+    let cfg = small_lmq_power7();
+    let spec = catalog::blackscholes().scaled(0.01);
+    let mut naive = Simulation::new(
+        cfg.clone(),
+        SmtLevel::Smt4,
+        SyntheticWorkload::new(spec.clone()),
+    );
+    naive.set_stepping(Stepping::Naive);
+    let mut fast = Simulation::new(cfg, SmtLevel::Smt4, SyntheticWorkload::new(spec));
+    let mut rejections = 0;
+    for _ in 0..6 {
+        let a = naive.measure_window(3_000);
+        let b = fast.measure_window(3_000);
+        assert_eq!(a.wall_cycles, b.wall_cycles);
+        assert_eq!(a.cores.lmq_rejections, b.cores.lmq_rejections);
+        assert_eq!(a.cores.disp_held_cycles, b.cores.disp_held_cycles);
+        // Per-thread equality covers each thread's dispatch-held cycles.
+        assert_eq!(a.per_thread, b.per_thread);
+        assert_eq!(a.cores, b.cores);
+        rejections += a.cores.lmq_rejections;
+    }
+    assert_eq!(naive.now(), fast.now());
+    assert!(rejections > 0, "the small LMQ never filled");
+    assert!(
+        fast.stall_cycles_elided() > 0,
+        "no stall window opened under LMQ pressure"
+    );
+}
+
 /// Engine equivalence must also hold through sampling windows: the SoA
 /// engine's wakeup/parking bookkeeping may not shift counters even at
 /// arbitrary mid-run observation points.
@@ -226,6 +270,22 @@ fn windowed_counters_match_across_engines() {
         assert_eq!(a.cores, b.cores);
     }
     assert_eq!(legacy.now(), soa.now());
+}
+
+/// Stall windows must actually open on memory-bound work at SMT4 —
+/// otherwise the differential cases above could pass without ever
+/// replaying a rejection.
+#[test]
+fn stall_windows_engage_on_memory_bound_work() {
+    let spec = catalog::stream().scaled(0.004);
+    let mut sim = Simulation::new(small_power7(), SmtLevel::Smt4, SyntheticWorkload::new(spec));
+    let res = sim.run_until_finished(MAX_CYCLES);
+    assert!(res.completed);
+    assert!(sim.core_counters().lmq_rejections > 0);
+    assert!(
+        sim.stall_cycles_elided() > 0,
+        "expected stall windows on Stream at SMT4"
+    );
 }
 
 /// The fast path must actually engage on stall-heavy work — otherwise

@@ -420,6 +420,13 @@ pub struct Core {
     /// Scratch: bit `qi` set when queue `qi` had a load rejected for want
     /// of an LMQ slot this cycle.
     queue_lmq_reject: u32,
+    /// LMQ rejections made by the last step's issue stage. With
+    /// `held_mask`, the per-cycle event delta [`Core::charge_idle`]
+    /// replays across a stall window.
+    step_rejections: u32,
+    /// Bit `t` set when hardware thread `t` was dispatch-held on the last
+    /// step.
+    held_mask: u8,
     /// Runnable-thread count the dynamic-partitioning caps were last
     /// computed for (0 = never).
     caps_for_active: usize,
@@ -536,6 +543,8 @@ impl Core {
             ports_by_queue,
             port_used: 0,
             queue_lmq_reject: 0,
+            step_rejections: 0,
+            held_mask: 0,
             caps_for_active: 0,
             bpred: arch.branch_predictor.map(BranchPredictor::new),
             use_simd: soa::resolve_kernel(kernel),
@@ -736,9 +745,11 @@ impl Core {
     /// Returns an *activity count*: the number of state-changing events
     /// this cycle (wakes, unparks, retires, issues, parks, LMQ rejections,
     /// dispatches, fetch results). A return of zero means the cycle was
-    /// pure bookkeeping — nothing architectural moved — which is the
-    /// precondition [`Simulation`](crate::machine::Simulation) uses before
-    /// asking [`Core::quiet_until`] how far it can fast-forward.
+    /// pure bookkeeping — nothing architectural moved. A return equal to
+    /// [`Core::step_rejections`] marks a stall step: nothing moved but
+    /// rejected loads and stores. Either is the precondition
+    /// [`Simulation`](crate::machine::Simulation) uses before asking
+    /// [`Core::quiet_until`] how far it can fast-forward.
     pub fn step<W: Workload + ?Sized>(
         &mut self,
         arch: &ArchDescriptor,
@@ -870,6 +881,7 @@ impl Core {
     ) -> u32 {
         self.port_used = 0;
         self.queue_lmq_reject = 0;
+        let rejections_before = self.counters.lmq_rejections;
         // An empty `Vec` allocates nothing, so the swap is two pointer-size
         // stores each way.
         let mut bank = std::mem::replace(&mut self.bank, QueueBank::Legacy(Vec::new()));
@@ -878,6 +890,7 @@ impl Core {
             QueueBank::Soa(qs) => self.issue_soa(qs, arch, now, mem, sw),
         };
         self.bank = bank;
+        self.step_rejections = (self.counters.lmq_rejections - rejections_before) as u32;
         activity
     }
 
@@ -1478,17 +1491,17 @@ impl Core {
         // hide, not resource exhaustion. A cycle that ended purely because
         // the dispatch width ran out is not held either.
         let width_exhausted = dispatched >= width;
-        let mut held = false;
+        self.held_mask = 0;
         for t in 0..self.ways {
             if thread_had[t]
                 && thread_blocked_congested[t]
                 && (thread_dispatched[t] == 0 || !width_exhausted)
             {
                 sw[self.ctxs[t].sw_id].disp_held_cycles += 1;
-                held = true;
+                self.held_mask |= 1 << t;
             }
         }
-        if held {
+        if self.held_mask != 0 {
             self.counters.disp_held_cycles += 1;
         }
         dispatched as u32
@@ -1583,21 +1596,39 @@ impl Core {
         }
     }
 
-    /// If stepping this core under [`StepMode::Normal`] is provably a
-    /// no-op for every cycle in `now..e`, return the first cycle `e` at
-    /// which something *could* happen (a sleep expiring, a parked
-    /// instruction's data returning, a mispredict bubble ending, or a
-    /// queued instruction's producer completing within the issue scan
-    /// window). Return `None` when the core could act *this* cycle.
+    /// If every step of this core under [`StepMode::Normal`] in `now..e`
+    /// is provably either a no-op or a *stall step* — one whose only
+    /// events are LMQ rejections of the same loads and stores — return
+    /// `Some((e, r))`: the first cycle `e` at which something else *could*
+    /// happen (a sleep expiring, a parked instruction's data returning, a
+    /// mispredict bubble ending, a queued instruction's producer
+    /// completing within the issue scan window, or an LMQ slot freeing),
+    /// and the `r` rejections each of those cycles makes. Return `None`
+    /// when the core could do anything else *this* cycle.
     ///
-    /// Intended to be called only after a step that reported zero
-    /// activity, but sound on its own: every condition that could make
-    /// a cycle do work is checked directly. `Some(u64::MAX)` means the
-    /// core can never act again without external input (all threads
-    /// finished, or a true dependency deadlock the naive loop would also
-    /// spin on forever); the caller bounds the jump.
-    pub fn quiet_until(&self, arch: &ArchDescriptor, now: u64) -> Option<u64> {
+    /// A stall needs a visible, dependency-ready load or store that
+    /// misses L1 while the LMQ is full and no slot frees by `now`;
+    /// only the SoA engine's cores predict them (`r` is always 0 under
+    /// [`IssueEngine::Legacy`]). Nothing inside the window changes which
+    /// entries are visible or ready, the L1 contents, or the LMQ, so every
+    /// cycle rejects the same `r` entries. The caller arms a window only
+    /// when `r` equals the rejections of the step just taken
+    /// ([`Core::step_rejections`]), so [`Core::charge_idle`] replays that
+    /// step's event delta exactly.
+    ///
+    /// Sound on its own: every condition that could make a cycle do work
+    /// is checked directly. `Some((u64::MAX, 0))` means the core can never
+    /// act again without external input (all threads finished, or a true
+    /// dependency deadlock the naive loop would also spin on forever); the
+    /// caller bounds the jump.
+    pub fn quiet_until(
+        &self,
+        arch: &ArchDescriptor,
+        mem: &MemorySystem,
+        now: u64,
+    ) -> Option<(u64, u32)> {
         let mut next = u64::MAX;
+        let mut rejections = 0u32;
         for (t, ctx) in self.ctxs.iter().enumerate() {
             match ctx.state {
                 CtxState::Sleeping(until) => {
@@ -1640,8 +1671,8 @@ impl Core {
         // each queue are visible to the issue stage, and with no issues or
         // parks happening the visible prefix cannot change, so deeper
         // entries need no events. A visible entry whose producer already
-        // completed would issue (or hit the LMQ-reject path) right now; one
-        // completing in the future issues — or parks — at completion.
+        // completed would issue right now, unless it is a stall (below);
+        // one completing in the future issues — or parks — at completion.
         // Producers still `PENDING` need no event: their own issue is
         // activity that re-arms the analysis.
         match &self.bank {
@@ -1685,6 +1716,7 @@ impl Core {
                 }
             }
             QueueBank::Soa(qs) => {
+                let lmq_full = self.lmq.len() >= self.lmq_capacity && self.lmq_min > now;
                 for q in qs {
                     if q.quiet_until > now {
                         if q.quiet_until != u64::MAX {
@@ -1710,9 +1742,20 @@ impl Core {
                             }
                             let ctx = &self.ctxs[q.hw[s] as usize];
                             let seq = q.seq[s];
-                            let dep = q.instr[s].dep_dist;
+                            let instr = q.instr[s];
+                            let dep = instr.dep_dist;
                             if ctx.dep_ready(seq, dep, now) {
-                                return None; // would issue (or reject) now
+                                // Rejected until an LMQ slot frees: only
+                                // this core's own accesses fill its L1 and
+                                // LMQ, and it makes none meanwhile.
+                                if instr.class.is_mem()
+                                    && lmq_full
+                                    && !mem.probe_l1(self.id, instr.addr)
+                                {
+                                    rejections += 1;
+                                    continue;
+                                }
+                                return None; // would issue now
                             }
                             if dep > 0 && seq >= u64::from(dep) {
                                 let c = ctx.comp[((seq - u64::from(dep)) as usize) % RING];
@@ -1725,17 +1768,28 @@ impl Core {
                 }
             }
         }
+        if rejections > 0 {
+            next = next.min(self.lmq_min);
+        }
         debug_assert!(next > now);
-        Some(next)
+        Some((next, rejections))
     }
 
-    /// Charge `k` provably-idle cycles in one step, exactly as `k` naive
+    /// LMQ rejections made by the last step (see [`Core::quiet_until`]).
+    pub fn step_rejections(&self) -> u32 {
+        self.step_rejections
+    }
+
+    /// Charge `k` elided cycles in one step, exactly as `k` naive
     /// [`Core::step`] calls would have: wall cycles, per-thread CPU/sleep
-    /// time, core active time, and the dispatch round-robin pointer (which
-    /// the naive loop advances every cycle regardless of progress). All
-    /// other state is untouched because an idle cycle touches nothing
-    /// else. The driver batches these charges (one call per idle stretch,
-    /// not per cycle — see `Simulation`'s idle-debt ledger).
+    /// time, core active time, the dispatch round-robin pointer (which
+    /// the naive loop advances every cycle regardless of progress), and
+    /// `k` times the last step's event delta — its LMQ rejections and
+    /// dispatch-held threads, both zero after a pure-idle step. The
+    /// cycles must lie inside a window [`Core::quiet_until`] armed from
+    /// that step; all other state is untouched because such a cycle
+    /// touches nothing else. The driver batches these charges (one call
+    /// per window, not per cycle — see `Simulation`'s idle-debt ledger).
     pub fn charge_idle(&mut self, k: u64, sw: &mut [ThreadCounters]) {
         let mut active = false;
         for ctx in &self.ctxs {
@@ -1752,6 +1806,15 @@ impl Core {
         }
         self.counters.charge_idle(k, active);
         self.disp_rr = (self.disp_rr + (k % self.ways as u64) as usize) % self.ways;
+        self.counters.lmq_rejections += k * u64::from(self.step_rejections);
+        if self.held_mask != 0 {
+            for (t, ctx) in self.ctxs.iter().enumerate() {
+                if self.held_mask & (1 << t) != 0 {
+                    sw[ctx.sw_id].disp_held_cycles += k;
+                }
+            }
+            self.counters.disp_held_cycles += k;
+        }
     }
 }
 #[cfg(test)]

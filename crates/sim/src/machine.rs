@@ -235,11 +235,42 @@ pub enum Stepping {
     Naive,
     /// After a cycle in which no core did any work, ask every core for the
     /// next cycle at which it *could* act ([`Core::quiet_until`]) and jump
-    /// there in one step, batch-charging the idle cycles. Produces
+    /// there in one step, batch-charging the idle cycles. Cores that are
+    /// idle, or only re-rejecting the same loads on a full load-miss
+    /// queue, skip their steps even while other cores work. Produces
     /// bit-identical counters and completion cycles to [`Stepping::Naive`]
     /// (proven by the differential test suite) while skipping the long
     /// all-stalled stretches of memory- and synchronization-bound phases.
     FastForward,
+}
+
+/// The quiescence window to cache for `core` after it stepped cycle `now`
+/// with activity `act`: the end of the window [`Core::quiet_until`] proves
+/// from `now + 1`, or 0 (no window). A window is armed only after a
+/// pure-idle or stall step whose rejections the analysis predicts for
+/// every later cycle, so each elided cycle repeats that step's events.
+fn quiet_mark(core: &Core, arch: &ArchDescriptor, mem: &MemorySystem, now: u64, act: u32) -> u64 {
+    let rejections = core.step_rejections();
+    if act != rejections {
+        return 0;
+    }
+    match core.quiet_until(arch, mem, now + 1) {
+        Some((end, r)) if r == rejections => end,
+        _ => 0,
+    }
+}
+
+/// Charge `core` its elided-cycle `debt` in one batch
+/// ([`Core::charge_idle`]) and clear it, tallying the cycles into
+/// `stall_elided` when they belong to a stall window.
+fn settle(core: &mut Core, debt: &mut u64, sw: &mut [ThreadCounters], stall_elided: &mut u64) {
+    if *debt > 0 {
+        if core.step_rejections() > 0 {
+            *stall_elided += *debt;
+        }
+        core.charge_idle(*debt, sw);
+        *debt = 0;
+    }
 }
 
 /// A machine executing a workload.
@@ -258,20 +289,25 @@ pub struct Simulation<W: Workload> {
     kernel: ScanKernel,
     /// Cycles advanced via fast-forward jumps (diagnostics/tests).
     idle_skipped: u64,
-    /// Idle cycles owed to each core but not yet charged to its counters.
-    /// Quiet cores accrue one debt cycle instead of a `charge_idle` call
-    /// per cycle; debts are settled in one batched charge before the core
-    /// next steps and at every public boundary (so externally observable
-    /// counters are always exact).
+    /// Core-cycles charged through stall windows (diagnostics/tests).
+    stall_elided: u64,
+    /// Elided cycles owed to each core but not yet charged to its
+    /// counters. Quiet cores accrue one debt cycle instead of a
+    /// `charge_idle` call per cycle; debts are settled in one batched
+    /// charge before the core next steps and at every public boundary (so
+    /// externally observable counters are always exact).
     idle_debt: Vec<u64>,
-    /// Per-core quiescence marks: core `i` provably cannot act before
-    /// cycle `quiet_cache[i]`, so its step is replaced by a 1-cycle idle
-    /// charge until then. Populated from [`Core::quiet_until`] whenever a
-    /// step reports zero activity; sound because every cached event is an
-    /// absolute, core-local time (sleep/park wakes, producer completions,
-    /// fetch stalls) that no other core can pull earlier — any path that
-    /// could consult shared state (workload fetch, a drained retire)
-    /// makes `quiet_until` return `None` instead of a mark.
+    /// Per-core quiescence windows: until cycle `quiet_cache[i]`, every
+    /// step of core `i` would provably repeat its last step's events —
+    /// none after a pure-idle step, the same LMQ rejections after a stall
+    /// step — so it is replaced by one debt cycle. Armed from
+    /// [`Core::quiet_until`] (see [`quiet_mark`]); sound because every
+    /// cached event is an absolute, core-local time (sleep/park wakes,
+    /// producer completions, fetch stalls, LMQ slot frees) and a stall
+    /// depends only on the core's own L1 and LMQ, none of which another
+    /// core can change — any path that could consult shared state
+    /// (workload fetch, a drained retire) makes `quiet_until` return
+    /// `None` instead of a mark.
     quiet_cache: Vec<u64>,
 }
 
@@ -308,6 +344,7 @@ impl<W: Workload> Simulation<W> {
             engine,
             kernel,
             idle_skipped: 0,
+            stall_elided: 0,
             idle_debt: vec![0; ncores],
             quiet_cache: vec![0; ncores],
         }
@@ -410,11 +447,21 @@ impl<W: Workload> Simulation<W> {
         self.stepping = stepping;
     }
 
-    /// Cycles covered by fast-forward jumps so far (zero under
-    /// [`Stepping::Naive`]). Diagnostics: how much of the run the
-    /// quiescence analysis actually elided.
+    /// Cycles covered by machine-wide fast-forward jumps so far (zero
+    /// under [`Stepping::Naive`]). Diagnostics: how much of the run the
+    /// quiescence analysis elided on every core at once. Per-core windows,
+    /// idle or stall, are not counted here.
     pub fn idle_cycles_skipped(&self) -> u64 {
         self.idle_skipped
+    }
+
+    /// Core-cycles charged through stall windows so far (zero under
+    /// [`Stepping::Naive`] and the legacy engine): steps elided because
+    /// they would only have re-rejected the same loads and stores on a
+    /// full load-miss queue. Counts per core, and includes stall cycles
+    /// inside machine-wide jumps.
+    pub fn stall_cycles_elided(&self) -> u64 {
+        self.stall_elided
     }
 
     /// Advance a single cycle.
@@ -427,10 +474,12 @@ impl<W: Workload> Simulation<W> {
     /// core. After this, counters reflect all `self.now` cycles exactly.
     fn settle_idle_debt(&mut self) {
         for (i, core) in self.cores.iter_mut().enumerate() {
-            if self.idle_debt[i] > 0 {
-                core.charge_idle(self.idle_debt[i], &mut self.sw);
-                self.idle_debt[i] = 0;
-            }
+            settle(
+                core,
+                &mut self.idle_debt[i],
+                &mut self.sw,
+                &mut self.stall_elided,
+            );
         }
     }
 
@@ -440,21 +489,24 @@ impl<W: Workload> Simulation<W> {
         let fast = self.stepping == Stepping::FastForward;
         let mut activity = 0;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            // A core inside its quiescence window accrues one idle-debt
-            // cycle (~no work at all) instead of a full pipeline step
-            // (~µs) even while other cores stay busy — the per-core
-            // analogue of `fast_forward_to`, which needs *every* core
-            // quiet. An idle cycle's charge only depends on thread states,
-            // which provably cannot change inside the window, so the
-            // deferred batch charge is identical to per-cycle charges.
+            // A core inside its quiescence window accrues one debt cycle
+            // (~no work at all) instead of a full pipeline step (~µs) even
+            // while other cores stay busy — the per-core analogue of
+            // `fast_forward_to`, which needs *every* core quiet. A window
+            // cycle's charge only depends on thread states and the arming
+            // step's event delta, which provably cannot change inside the
+            // window, so the deferred batch charge is identical to
+            // per-cycle charges.
             if fast && self.quiet_cache[i] > self.now {
                 self.idle_debt[i] += 1;
                 continue;
             }
-            if self.idle_debt[i] > 0 {
-                core.charge_idle(self.idle_debt[i], &mut self.sw);
-                self.idle_debt[i] = 0;
-            }
+            settle(
+                core,
+                &mut self.idle_debt[i],
+                &mut self.sw,
+                &mut self.stall_elided,
+            );
             let act = core.step(
                 &self.cfg.arch,
                 self.now,
@@ -463,8 +515,8 @@ impl<W: Workload> Simulation<W> {
                 &mut self.mem,
                 &mut self.sw,
             );
-            if fast && act == 0 {
-                self.quiet_cache[i] = core.quiet_until(&self.cfg.arch, self.now + 1).unwrap_or(0);
+            if fast {
+                self.quiet_cache[i] = quiet_mark(core, &self.cfg.arch, &self.mem, self.now, act);
             }
             activity += act;
         }
@@ -474,8 +526,8 @@ impl<W: Workload> Simulation<W> {
 
     /// After a zero-activity cycle, jump straight to the next cycle at
     /// which any core could act (bounded by `end`), charging the skipped
-    /// idle cycles exactly as naive stepping would. No-op if any core has
-    /// work available now or next cycle.
+    /// cycles exactly as naive stepping would. No-op if any core has work
+    /// available now or next cycle.
     fn fast_forward_to(&mut self, end: u64) {
         let now = self.now;
         let mut target = end;
@@ -484,9 +536,12 @@ impl<W: Workload> Simulation<W> {
                 target = target.min(self.quiet_cache[i]);
                 continue;
             }
-            match core.quiet_until(&self.cfg.arch, now) {
-                Some(event) => target = target.min(event),
-                None => return,
+            // Outside a live window a core joins the jump only while
+            // purely idle: an expired stall window is never reused, since
+            // only its arming step proved the charged delta.
+            match core.quiet_until(&self.cfg.arch, &self.mem, now) {
+                Some((event, 0)) => target = target.min(event),
+                _ => return,
             }
         }
         if target <= now {
@@ -494,8 +549,13 @@ impl<W: Workload> Simulation<W> {
         }
         let k = target - now;
         for (i, core) in self.cores.iter_mut().enumerate() {
-            core.charge_idle(k + self.idle_debt[i], &mut self.sw);
-            self.idle_debt[i] = 0;
+            self.idle_debt[i] += k;
+            settle(
+                core,
+                &mut self.idle_debt[i],
+                &mut self.sw,
+                &mut self.stall_elided,
+            );
         }
         self.idle_skipped += k;
         self.now = target;
@@ -559,10 +619,12 @@ impl<W: Workload> Simulation<W> {
                 self.idle_debt[i] += 1;
                 continue;
             }
-            if self.idle_debt[i] > 0 {
-                core.charge_idle(self.idle_debt[i], &mut self.sw);
-                self.idle_debt[i] = 0;
-            }
+            settle(
+                core,
+                &mut self.idle_debt[i],
+                &mut self.sw,
+                &mut self.stall_elided,
+            );
             let act = core.step_profiled(
                 &self.cfg.arch,
                 self.now,
@@ -572,8 +634,8 @@ impl<W: Workload> Simulation<W> {
                 &mut self.sw,
                 prof,
             );
-            if fast && act == 0 {
-                self.quiet_cache[i] = core.quiet_until(&self.cfg.arch, self.now + 1).unwrap_or(0);
+            if fast {
+                self.quiet_cache[i] = quiet_mark(core, &self.cfg.arch, &self.mem, self.now, act);
             }
             activity += act;
         }
@@ -795,6 +857,32 @@ mod tests {
             r2.perf(),
             r1.perf()
         );
+    }
+
+    #[test]
+    fn stall_windows_replay_rejections_exactly() {
+        // Independent loads to distinct lines: every one misses, so the
+        // LMQ stays full and queued loads re-reject until a slot frees.
+        let script: Vec<Instr> = (0..400u64).map(|k| Instr::load(k * 4096 * 64)).collect();
+        let run = |stepping: Stepping| {
+            let w = ScriptedWorkload::new("misses", script.clone());
+            let mut sim = Simulation::new(MachineConfig::generic(1), SmtLevel::Smt2, w);
+            sim.set_stepping(stepping);
+            let res = sim.run_until_finished(5_000_000);
+            assert!(res.completed);
+            (
+                sim.core_counters(),
+                sim.thread_counters().to_vec(),
+                sim.stall_cycles_elided(),
+            )
+        };
+        let (naive_core, naive_threads, naive_elided) = run(Stepping::Naive);
+        let (fast_core, fast_threads, fast_elided) = run(Stepping::FastForward);
+        assert!(naive_core.lmq_rejections > 0);
+        assert_eq!(naive_elided, 0);
+        assert!(fast_elided > 0, "no stall window opened");
+        assert_eq!(naive_core, fast_core);
+        assert_eq!(naive_threads, fast_threads);
     }
 
     #[test]

@@ -94,8 +94,9 @@ where
 
 /// Map `f` over `items` on all available cores, preserving input order.
 ///
-/// A panic in any worker is re-raised on the calling thread once the
-/// scope joins (same contract as rayon).
+/// A panic in any worker is re-raised on the calling thread, with the
+/// worker's original payload, once every worker has joined (same
+/// contract as rayon).
 pub fn parallel_map<'a, T, R, F>(items: &'a [T], f: &F) -> Vec<R>
 where
     T: Sync,
@@ -112,21 +113,35 @@ where
 
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
+    // Join every worker by hand: an unjoined panicked thread makes
+    // `scope` raise its own generic panic, which would hide the worker's
+    // payload. The first panicking worker's payload is re-raised as is.
+    let panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= items.len() {
+                            break;
+                        }
+                        local.push((idx, f(&items[idx])));
                     }
-                    local.push((idx, f(&items[idx])));
-                }
-                collected.lock().unwrap().extend(local);
-            });
-        }
+                    collected
+                        .lock()
+                        .expect("no worker panics while holding the results lock")
+                        .extend(local);
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .fold(None, |first, h| first.or(h.join().err()))
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
 
     let mut pairs = collected.into_inner().unwrap();
     pairs.sort_by_key(|(idx, _)| *idx);
