@@ -2,8 +2,7 @@
 //!
 //! Every field of [`AutotuneConfig`] has an `SMT_AUTOTUNE_*` environment
 //! override (see [`ENV_KNOBS`]) so deployments can retune the loop without
-//! recompiling, the same way `SMT_SIM_ENGINE` selects the simulator's issue
-//! engine. Overrides are parsed fallibly: a malformed value is a structured
+//! recompiling. Overrides are parsed fallibly: a malformed value is a structured
 //! [`Error::Config`], never a panic or a silent default.
 
 use serde::{Deserialize, Serialize};

@@ -583,7 +583,7 @@ pub struct SelfCount {
 
 /// Self-attached CPU-cycles + instructions counters for the calling
 /// process — the hardware-truth companion to the simulator's TSC-based
-/// phase profile in `repro perf --flamegraph`.
+/// phase profile in `repro perf`.
 ///
 /// Built on the same raw-syscall layer as [`PerfBackend`], with the same
 /// degradation contract: on hosts where the PMU is masked

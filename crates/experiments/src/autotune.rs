@@ -360,84 +360,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "debug aid"]
-    fn dump_decision_logs() {
-        let cfg = MachineConfig::power7(1);
-        let tune = AutotuneConfig {
-            window_cycles: 2_000,
-            probe_interval: 40,
-            ..AutotuneConfig::default()
-        };
-        for (name, specs, _) in scenarios(0.5) {
-            let (auto, drains) = autotune_run(
-                &cfg,
-                &name,
-                &specs,
-                selector(0.10, 0.15),
-                tune,
-                4_000_000_000,
-            )
-            .unwrap();
-            let oracle = phase_oracle(&cfg, &specs, 4_000_000_000).unwrap();
-            for p in &oracle.phases {
-                let per: Vec<String> = p
-                    .report
-                    .levels
-                    .iter()
-                    .map(|l| format!("{}={:.2}", l.smt, l.result.perf()))
-                    .collect();
-                eprintln!(
-                    "  phase {} best {}: {}",
-                    p.phase,
-                    p.report.best,
-                    per.join(" ")
-                );
-            }
-            eprintln!(
-                "=== {name}: windows={} perf={:.3} drains={drains} oracle={:.3}\n{}",
-                auto.decisions.windows,
-                auto.perf,
-                oracle.perf,
-                serde_json::to_string_pretty(&auto.decisions.decisions).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    #[ignore = "debug aid"]
-    fn dump_steady_metrics() {
-        use smt_workloads::SyntheticWorkload;
-        use smtsm::OnlineSampler;
-        for (name, spec) in [
-            ("blackscholes", catalog::blackscholes().scaled(0.5)),
-            ("ep", catalog::ep().scaled(0.5)),
-            ("swim", catalog::swim().scaled(0.35)),
-            ("bt", catalog::bt().scaled(0.35)),
-            (
-                "specjbb_contention",
-                catalog::specjbb_contention().scaled(0.7),
-            ),
-        ] {
-            let mut sim = Simulation::new(
-                MachineConfig::power7(1),
-                SmtLevel::Smt4,
-                SyntheticWorkload::new(spec),
-            );
-            let mut s = OnlineSampler::new(MetricSpec::power7(), 2_000, 0.6);
-            let mut vals = Vec::new();
-            for _ in 0..40 {
-                if sim.finished() {
-                    break;
-                }
-                let m = sim.measure_window(2_000);
-                let (metric, _) = s.push_window(&m);
-                vals.push(format!("{metric:.3}"));
-            }
-            eprintln!("{name}: {}", vals.join(" "));
-        }
-    }
-
-    #[test]
     fn scenarios_are_well_formed() {
         let sc = scenarios(0.1);
         assert_eq!(sc.len(), 4);

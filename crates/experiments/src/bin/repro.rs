@@ -15,21 +15,17 @@
 //!   validate                    seed-robustness replicas (not in `all`)
 //!   sched                       Section-V dynamic-selection demo
 //!   autotune                    closed-loop stability-vs-regret study (not in `all`)
-//!   perf                        simulator throughput harness (not in `all`)
+//!   perf                        simulator phase profiler (not in `all`)
 //!   score                       corpus accuracy scorer (not in `all`)
 //!   all                         everything above
 //! ```
 //!
-//! `repro perf` measures the fixed simulator benchmark matrix and prints a
-//! cycles/sec table. Extra flags: `--quick` (smaller windows, for CI),
-//! `--label NAME` (run label), `--out FILE` (append the run to a
-//! `BENCH_sim.json` trajectory), `--check FILE` (exit non-zero if any case
-//! regressed more than `--tolerance`, default 0.2, vs. the file's latest
-//! run), `--kernel auto|scalar|simd|legacy` (pin the issue-engine /
-//! scan-kernel variant; `simd` exits cleanly on hosts without AVX2), and
-//! `--flamegraph` (self-profile the matrix instead of timing it, printing
-//! per-phase shares and writing `results/perf/profile-<label>.json` plus a
-//! flamegraph-ready `flamegraph-<label>.folded`).
+//! `repro perf` self-profiles a fixed simulator matrix, prints per-phase
+//! shares, and writes `results/perf/profile-<label>.json` plus a
+//! flamegraph-ready `flamegraph-<label>.folded`. Extra flags: `--quick`
+//! (smaller windows, for CI) and `--label NAME` (run label, default
+//! `local`, or `quick` under `--quick`). End-to-end simulator speed is
+//! measured by the repository benchmark (`BENCHMARK.json`).
 //!
 //! `repro score` replays the committed benchmark corpus
 //! (`results/corpus/manifest.json`) through the decision core and scores
@@ -71,11 +67,9 @@ struct Args {
     verbose: bool,
     quick: bool,
     label: Option<String>,
-    perf_out: Option<String>,
-    perf_check: Option<String>,
+    out: Option<String>,
+    check: Option<String>,
     tolerance: Option<f64>,
-    kernel: Option<String>,
-    flamegraph: bool,
     manifest: Option<String>,
     resume: bool,
     tier: Option<String>,
@@ -95,11 +89,9 @@ fn parse_args() -> Args {
         verbose: false,
         quick: false,
         label: None,
-        perf_out: None,
-        perf_check: None,
+        out: None,
+        check: None,
         tolerance: None,
-        kernel: None,
-        flamegraph: false,
         manifest: None,
         resume: false,
         tier: None,
@@ -135,10 +127,10 @@ fn parse_args() -> Args {
                 args.label = Some(it.next().unwrap_or_else(|| die("--label takes a name")));
             }
             "--out" => {
-                args.perf_out = Some(it.next().unwrap_or_else(|| die("--out takes a file")));
+                args.out = Some(it.next().unwrap_or_else(|| die("--out takes a directory")));
             }
             "--check" => {
-                args.perf_check = Some(it.next().unwrap_or_else(|| die("--check takes a file")));
+                args.check = Some(it.next().unwrap_or_else(|| die("--check takes a file")));
             }
             "--tolerance" => {
                 args.tolerance = Some(
@@ -162,13 +154,6 @@ fn parse_args() -> Args {
                 );
             }
             "--no-out" => args.no_out = true,
-            "--kernel" => {
-                args.kernel = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--kernel takes auto|scalar|simd|legacy")),
-                );
-            }
-            "--flamegraph" => args.flamegraph = true,
             "-h" | "--help" => {
                 eprintln!(
                     "usage: repro <artifact|all> [--scale S] [--json DIR] [--csv DIR] \
@@ -259,8 +244,10 @@ fn main() {
     }
 }
 
-/// `repro perf`: measure simulator throughput, optionally gate on a
-/// committed baseline and append to the trajectory file.
+/// `repro perf`: self-profile the simulator matrix, print the phase
+/// table, and write `results/perf/profile-<label>.json` plus a
+/// flamegraph-ready `flamegraph-<label>.folded` (feed it to any
+/// `flamegraph.pl`-compatible renderer).
 fn run_perf_cmd(args: &Args) -> Result<(), Error> {
     use smt_experiments::perf;
     let mut opts = if args.quick {
@@ -271,85 +258,11 @@ fn run_perf_cmd(args: &Args) -> Result<(), Error> {
     if let Some(label) = &args.label {
         opts = opts.label(label.clone());
     }
-    match args.kernel.as_deref() {
-        None | Some("auto") => {}
-        Some("legacy") => opts.engine = Some(smt_sim::IssueEngine::Legacy),
-        Some("scalar") => opts.kernel = Some(smt_sim::ScanKernel::ScalarU64),
-        Some("simd") => {
-            if !smt_sim::simd_available() {
-                eprintln!("[repro] skipping: --kernel simd requested but AVX2 is not available");
-                return Ok(());
-            }
-            opts.kernel = Some(smt_sim::ScanKernel::Simd);
-        }
-        Some(other) => die(&format!(
-            "unknown --kernel {other:?} (want auto|scalar|simd|legacy)"
-        )),
-    }
-    if args.flamegraph {
-        return run_perf_flamegraph(args, &opts);
-    }
     eprintln!(
-        "[repro] measuring simulator throughput ({} cycles/window, best of {})...",
-        opts.window, opts.samples
+        "[repro] profiling simulator phases ({} cycles/window)...",
+        opts.window
     );
-    let run = perf::run_perf(&opts);
-    print!("{}", perf::format_run(&run));
-
-    if let Some(check) = &args.perf_check {
-        let tolerance = args.tolerance.unwrap_or(0.2);
-        let baseline = perf::PerfReport::load(check)?;
-        let base_run = baseline.latest().ok_or_else(|| {
-            Error::InvalidMeasurement(format!("{check} contains no runs to check against"))
-        })?;
-        let regs = perf::check_regression(&run, base_run, tolerance);
-        if regs.is_empty() {
-            eprintln!(
-                "[repro] perf check OK vs `{}` (tolerance {:.0}%)",
-                base_run.label,
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regs {
-                eprintln!(
-                    "[repro] REGRESSION {}: {:.0} -> {:.0} cycles/sec ({:.1}% slower)",
-                    r.case,
-                    r.baseline,
-                    r.current,
-                    r.slowdown() * 100.0
-                );
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(out) = &args.perf_out {
-        let mut report = if std::path::Path::new(out).exists() {
-            perf::PerfReport::load(out)?
-        } else {
-            perf::PerfReport::new()
-        };
-        report.push(run);
-        report.save(out)?;
-        eprintln!("[repro] appended run to {out}");
-    }
-    Ok(())
-}
-
-/// `repro perf --flamegraph`: self-profile the matrix, print the phase
-/// table, and write `results/perf/profile-<label>.json` plus a
-/// flamegraph-ready `flamegraph-<label>.folded` (feed it to any
-/// `flamegraph.pl`-compatible renderer).
-fn run_perf_flamegraph(
-    args: &Args,
-    opts: &smt_experiments::perf::PerfOptions,
-) -> Result<(), Error> {
-    use smt_experiments::perf;
-    eprintln!(
-        "[repro] profiling simulator phases ({} cycles/window, kernel {})...",
-        opts.window,
-        opts.kernel_name()
-    );
-    let run = perf::run_perf_profiled(opts);
+    let run = perf::run_profile(&opts);
     print!("{}", run.render());
 
     let dir = std::path::Path::new("results/perf");
@@ -361,10 +274,6 @@ fn run_perf_flamegraph(
     let folded_path = dir.join(format!("flamegraph-{}.folded", run.label));
     std::fs::write(&folded_path, run.folded())?;
     eprintln!("[repro] wrote {}", folded_path.display());
-
-    if let Some(check) = &args.perf_check {
-        eprintln!("[repro] note: --check {check} is ignored under --flamegraph (profiled runs are not throughput-comparable)");
-    }
     Ok(())
 }
 
@@ -389,12 +298,12 @@ fn run_score_cmd(args: &Args) -> Result<(), Error> {
     }
     if !args.no_out {
         cmd.out_dir = Some(std::path::PathBuf::from(
-            args.perf_out
+            args.out
                 .clone()
                 .unwrap_or_else(|| "results/score".to_string()),
         ));
     }
-    cmd.check = args.perf_check.clone().map(std::path::PathBuf::from);
+    cmd.check = args.check.clone().map(std::path::PathBuf::from);
     if let Some(t) = args.tolerance {
         cmd.tolerance_points = t;
     }

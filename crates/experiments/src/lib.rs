@@ -21,11 +21,7 @@
 //!   removed).
 //! - [`placement`] — the placement-allocator accuracy study: each search
 //!   strategy's regret against a simulate-every-placement oracle.
-//! - [`perf`] — the simulator perf-trajectory harness behind `repro perf`
-//!   and the committed `BENCH_sim.json`.
-//! - [`corpus`] — directories of recorded `.smtc` counter traces replayed
-//!   through the dynamic-selection decision core under a chosen policy
-//!   (re-exported from the `smt-corpus` crate).
+//! - [`perf`] — the simulator self-profiler behind `repro perf`.
 //! - [`score`] — `repro score`: the canonical-corpus accuracy scorer and
 //!   its committed `results/score/` artifacts and regression gate.
 //!
@@ -37,7 +33,6 @@
 pub mod ablation;
 pub mod autotune;
 pub mod cache;
-pub mod corpus;
 pub mod engine;
 pub mod figures;
 pub mod perf;
@@ -53,9 +48,7 @@ pub mod validation;
 
 pub use autotune::{AutotuneScenario, AutotuneStudy};
 pub use cache::ResultCache;
-pub use corpus::{replay_dir, replay_trace, CorpusReport, ReplayPolicy, TraceReplay};
 pub use engine::{Engine, EngineMetrics, JobError, RunPlan, RunRequest, SweepResult};
-pub use perf::{check_regression, run_perf, PerfEntry, PerfOptions, PerfReport, PerfRun};
 pub use placement::{PlacementRow, PlacementStudy};
 pub use progress::{JobOutcome, NullSink, ProgressEvent, ProgressSink, StderrSink};
 pub use runner::{measure_level, BenchResult, LevelMeasurement, ProtocolConfig};

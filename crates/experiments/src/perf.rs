@@ -1,248 +1,46 @@
-//! Perf-trajectory harness: machine-readable simulator throughput numbers.
+//! Simulator self-profiler behind `repro perf`.
 //!
-//! The ROADMAP's bar is that every PR makes a hot path measurably faster,
-//! which is only checkable if the repo carries its own trajectory. This
-//! module measures a fixed matrix of catalog workloads × SMT levels ×
-//! machine sizes (the same cases as `benches/simulator.rs`), reports
-//! simulated **cycles per wall-second**, and appends the run to
-//! `BENCH_sim.json` so successive PRs accumulate a before/after history.
-//!
-//! Entry points:
-//!
-//! - [`run_perf`] — measure the matrix, returning a [`PerfRun`].
-//! - [`PerfReport::load`] / [`PerfReport::save`] — the on-disk trajectory.
-//! - [`check_regression`] — compare a fresh run against the last committed
-//!   one and list cases whose throughput dropped more than a tolerance
-//!   (used by the CI `bench-smoke` job and `repro perf --check`).
+//! Runs a fixed matrix of catalog workloads × SMT levels × machine sizes
+//! through [`Simulation::run_cycles_profiled`], which splits every
+//! core-step into six pipeline phases (see [`smt_sim::profile`]), and
+//! wraps the sweep in self-attached hardware counters where the host
+//! permits. The result is a per-case phase table plus flamegraph-ready
+//! folded stacks. End-to-end speed is measured by the repository
+//! benchmark (`BENCHMARK.json`), not here.
 
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use smt_sim::{Error, IssueEngine, MachineConfig, ScanKernel, Simulation, SmtLevel};
+use smt_sim::{MachineConfig, Simulation, SmtLevel};
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 
-/// Bumped when the JSON layout of [`PerfReport`] changes shape.
-///
-/// Version history:
-/// - 1: `label` + `entries` + optional `repro_all_wall_secs`.
-/// - 2: adds the optional `kernel` tag on each run recording the issue
-///   engine / scan-kernel variant it was measured with. Version-1 files
-///   load unchanged (missing tag reads as `None`).
-pub const PERF_SCHEMA_VERSION: u32 = 2;
-
-/// Cycles simulated before the timed window, so cold-start effects
-/// (empty caches, empty queues) don't pollute the steady-state rate.
+/// Cycles simulated before the profiled window, so cold-start effects
+/// (empty caches, empty queues) don't pollute the steady-state shares.
 const WARMUP_CYCLES: u64 = 2_000;
 
-/// One measured case: a workload on a machine at an SMT level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfEntry {
-    /// Case name, e.g. `p7_ep` or `p7x2_mg`.
-    pub bench: String,
-    /// Hardware threads per core during the measurement.
-    pub smt: usize,
-    /// Simulated cycles in the timed window.
-    pub cycles: u64,
-    /// Best-of-samples wall time for the window, in seconds.
-    pub wall_secs: f64,
-    /// Throughput: `cycles / wall_secs`.
-    pub cycles_per_sec: f64,
-}
-
-impl PerfEntry {
-    /// Stable identity of the case within a run (`bench` × `smt`).
-    pub fn case_id(&self) -> String {
-        format!("{}/smt{}", self.bench, self.smt)
-    }
-
-    /// Build an entry from a generic event rate — `events` observed over
-    /// `wall_secs` — so non-simulator harnesses (e.g. the `smtd` load
-    /// generator, which counts requests instead of cycles) can record into
-    /// the same trajectory format. `cycles` holds the event count and
-    /// `cycles_per_sec` the rate, which is exactly what
-    /// [`check_regression`] compares, so a rate drop is flagged like any
-    /// simulator slowdown.
-    pub fn from_rate(
-        bench: impl Into<String>,
-        smt: usize,
-        events: u64,
-        wall_secs: f64,
-    ) -> PerfEntry {
-        let wall_secs = wall_secs.max(f64::MIN_POSITIVE);
-        PerfEntry {
-            bench: bench.into(),
-            smt,
-            cycles: events,
-            wall_secs,
-            cycles_per_sec: events as f64 / wall_secs,
-        }
-    }
-}
-
-/// One full sweep over the measurement matrix, labeled for the trajectory
-/// (e.g. `"pr2-before"`, `"pr2-after"`).
-///
-/// Serialization is hand-written (not derived) so that the schema-2
-/// `kernel` tag stays optional on read: trajectory files written at
-/// schema 1 have no such field, and the derive would reject them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfRun {
-    /// Human-chosen label identifying when/why this run was taken.
-    pub label: String,
-    /// Issue engine / scan-kernel variant the run was measured with
-    /// (`"legacy"`, `"scalar-u64"`, `"simd"`, or `"auto"`). `None` on
-    /// runs recorded before schema 2.
-    pub kernel: Option<String>,
-    /// Measured cases, in matrix order.
-    pub entries: Vec<PerfEntry>,
-    /// Optional end-to-end number: cold `repro all --scale 0.05` wall
-    /// seconds, recorded out-of-band when available.
-    pub repro_all_wall_secs: Option<f64>,
-}
-
-impl Serialize for PerfRun {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("label".to_string(), self.label.to_value()),
-            ("entries".to_string(), self.entries.to_value()),
-            (
-                "repro_all_wall_secs".to_string(),
-                self.repro_all_wall_secs.to_value(),
-            ),
-        ];
-        if let Some(k) = &self.kernel {
-            pairs.push(("kernel".to_string(), k.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for PerfRun {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("PerfRun: expected object"))?;
-        Ok(PerfRun {
-            label: String::from_value(serde::get_field(obj, "label")?)?,
-            kernel: match v.get("kernel") {
-                Some(val) => Option::from_value(val)?,
-                None => None,
-            },
-            entries: Vec::from_value(serde::get_field(obj, "entries")?)?,
-            repro_all_wall_secs: match v.get("repro_all_wall_secs") {
-                Some(val) => Option::from_value(val)?,
-                None => None,
-            },
-        })
-    }
-}
-
-impl PerfRun {
-    /// Look up a case by its [`PerfEntry::case_id`].
-    pub fn entry(&self, case_id: &str) -> Option<&PerfEntry> {
-        self.entries.iter().find(|e| e.case_id() == case_id)
-    }
-
-    /// Geometric mean of cycles/sec across all cases — the single number
-    /// quoted in the perf table.
-    pub fn geomean_cycles_per_sec(&self) -> f64 {
-        if self.entries.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self
-            .entries
-            .iter()
-            .map(|e| e.cycles_per_sec.max(f64::MIN_POSITIVE).ln())
-            .sum();
-        (log_sum / self.entries.len() as f64).exp()
-    }
-}
-
-/// The on-disk trajectory: an append-only list of [`PerfRun`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// Layout version, for forward-compatible readers.
-    pub schema: u32,
-    /// Runs in chronological order; the last one is "current".
-    pub runs: Vec<PerfRun>,
-}
-
-impl PerfReport {
-    /// An empty report at the current schema version.
-    pub fn new() -> PerfReport {
-        PerfReport {
-            schema: PERF_SCHEMA_VERSION,
-            runs: Vec::new(),
-        }
-    }
-
-    /// Read a report from `path`.
-    pub fn load(path: impl AsRef<Path>) -> Result<PerfReport, Error> {
-        let path = path.as_ref();
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
-        serde_json::from_str(&body).map_err(|e| Error::Serde(format!("{}: {e}", path.display())))
-    }
-
-    /// Write the report to `path` as pretty-printed JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
-        let path = path.as_ref();
-        let body = serde_json::to_string_pretty(self).map_err(|e| Error::Serde(e.to_string()))?;
-        std::fs::write(path, body + "\n").map_err(|e| Error::Io(format!("{}: {e}", path.display())))
-    }
-
-    /// The most recent run, if any.
-    pub fn latest(&self) -> Option<&PerfRun> {
-        self.runs.last()
-    }
-
-    /// Append `run` to the trajectory.
-    pub fn push(&mut self, run: PerfRun) {
-        self.runs.push(run);
-    }
-}
-
-/// Knobs for [`run_perf`].
+/// Knobs for [`run_profile`].
 #[derive(Debug, Clone)]
 pub struct PerfOptions {
-    /// Label stored on the resulting [`PerfRun`].
+    /// Label stored on the resulting [`ProfiledRun`].
     pub label: String,
-    /// Simulated cycles in each timed window.
+    /// Simulated cycles in each profiled window.
     pub window: u64,
-    /// Timing samples per case; the fastest is kept (minimum wall time is
-    /// the standard noise-robust estimator for a deterministic workload).
-    pub samples: usize,
-    /// Issue-engine override for the measured simulations. `None` keeps
-    /// the process default (the SoA engine, or `SMT_SIM_ENGINE` if set).
-    pub engine: Option<IssueEngine>,
-    /// Scan-kernel override. `None` keeps the default (runtime AVX2
-    /// detection). Forcing [`ScanKernel::Simd`] on a host without AVX2
-    /// panics — gate on [`smt_sim::simd_available`].
-    pub kernel: Option<ScanKernel>,
 }
 
 impl PerfOptions {
-    /// Full-fidelity settings: 100k-cycle windows, best of 5.
+    /// Full-fidelity settings: 100k-cycle windows.
     pub fn full() -> PerfOptions {
         PerfOptions {
             label: "local".to_string(),
             window: 100_000,
-            samples: 5,
-            engine: None,
-            kernel: None,
         }
     }
 
-    /// Quick settings for CI smoke runs: 20k-cycle windows, best of 3.
+    /// Quick settings for CI smoke runs: 20k-cycle windows.
     pub fn quick() -> PerfOptions {
         PerfOptions {
             label: "quick".to_string(),
             window: 20_000,
-            samples: 3,
-            engine: None,
-            kernel: None,
         }
     }
 
@@ -250,16 +48,6 @@ impl PerfOptions {
     pub fn label(mut self, label: impl Into<String>) -> PerfOptions {
         self.label = label.into();
         self
-    }
-
-    /// The kernel tag recorded on runs measured with these options.
-    pub fn kernel_name(&self) -> &'static str {
-        match (self.engine, self.kernel) {
-            (Some(IssueEngine::Legacy), _) => "legacy",
-            (_, Some(ScanKernel::ScalarU64)) => "scalar-u64",
-            (_, Some(ScanKernel::Simd)) => "simd",
-            _ => "auto",
-        }
     }
 }
 
@@ -269,17 +57,10 @@ struct PerfCase {
     machine: fn() -> MachineConfig,
     smt: SmtLevel,
     spec: fn() -> WorkloadSpec,
-    /// Per-case issue-engine pin. Takes precedence over the sweep-wide
-    /// [`PerfOptions::engine`] so one matrix can measure the same workload
-    /// under both engines side by side (the trajectory's escape-hatch
-    /// check: the legacy engine must stay alive and comparable).
-    engine: Option<IssueEngine>,
 }
 
-/// The measurement matrix, mirroring `benches/simulator.rs`: EP across SMT
-/// levels, a compute/memory/contended trio at SMT4, a two-chip machine,
-/// and the contended case pinned to the legacy engine as a standing
-/// cross-check of the SoA rewrite.
+/// The measurement matrix: EP across SMT levels, a compute/memory/contended
+/// trio at SMT4, and a two-chip machine.
 fn matrix() -> Vec<PerfCase> {
     fn p7() -> MachineConfig {
         MachineConfig::power7(1)
@@ -287,112 +68,26 @@ fn matrix() -> Vec<PerfCase> {
     fn p7x2() -> MachineConfig {
         MachineConfig::power7(2)
     }
+    let case = |bench, machine, smt, spec| PerfCase {
+        bench,
+        machine,
+        smt,
+        spec,
+    };
     vec![
-        PerfCase {
-            bench: "p7_ep",
-            machine: p7,
-            smt: SmtLevel::Smt1,
-            spec: catalog::ep,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_ep",
-            machine: p7,
-            smt: SmtLevel::Smt2,
-            spec: catalog::ep,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_ep",
-            machine: p7,
-            smt: SmtLevel::Smt4,
-            spec: catalog::ep,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_blackscholes",
-            machine: p7,
-            smt: SmtLevel::Smt4,
-            spec: catalog::blackscholes,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_stream",
-            machine: p7,
-            smt: SmtLevel::Smt4,
-            spec: catalog::stream,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_specjbb_contention",
-            machine: p7,
-            smt: SmtLevel::Smt4,
-            spec: catalog::specjbb_contention,
-            engine: None,
-        },
-        PerfCase {
-            bench: "p7_specjbb_contention_legacy",
-            machine: p7,
-            smt: SmtLevel::Smt4,
-            spec: catalog::specjbb_contention,
-            engine: Some(IssueEngine::Legacy),
-        },
-        PerfCase {
-            bench: "p7x2_mg",
-            machine: p7x2,
-            smt: SmtLevel::Smt4,
-            spec: catalog::mg,
-            engine: None,
-        },
+        case("p7_ep", p7, SmtLevel::Smt1, catalog::ep),
+        case("p7_ep", p7, SmtLevel::Smt2, catalog::ep),
+        case("p7_ep", p7, SmtLevel::Smt4, catalog::ep),
+        case("p7_blackscholes", p7, SmtLevel::Smt4, catalog::blackscholes),
+        case("p7_stream", p7, SmtLevel::Smt4, catalog::stream),
+        case(
+            "p7_specjbb_contention",
+            p7,
+            SmtLevel::Smt4,
+            catalog::specjbb_contention,
+        ),
+        case("p7x2_mg", p7x2, SmtLevel::Smt4, catalog::mg),
     ]
-}
-
-/// Measure the fixed matrix and return a labeled [`PerfRun`].
-///
-/// Each case builds a fresh simulation, warms it past cold start, then
-/// times `opts.window` simulated cycles `opts.samples` times, keeping the
-/// fastest sample. Workloads are deterministic, so the spread between
-/// samples is pure host noise.
-pub fn run_perf(opts: &PerfOptions) -> PerfRun {
-    let mut entries = Vec::new();
-    for case in matrix() {
-        let mut best = f64::INFINITY;
-        let mut cycles = 0;
-        for _ in 0..opts.samples {
-            let mut sim = Simulation::new(
-                (case.machine)(),
-                case.smt,
-                SyntheticWorkload::new((case.spec)()),
-            );
-            if let Some(engine) = case.engine.or(opts.engine) {
-                sim.set_issue_engine(engine);
-            }
-            if let Some(kernel) = opts.kernel {
-                sim.set_scan_kernel(kernel);
-            }
-            sim.run_cycles(WARMUP_CYCLES);
-            let start = Instant::now();
-            cycles = sim.run_cycles(opts.window);
-            let wall = start.elapsed().as_secs_f64();
-            if wall < best {
-                best = wall;
-            }
-        }
-        let best = best.max(f64::MIN_POSITIVE);
-        entries.push(PerfEntry {
-            bench: case.bench.to_string(),
-            smt: case.smt.ways(),
-            cycles,
-            wall_secs: best,
-            cycles_per_sec: cycles as f64 / best,
-        });
-    }
-    PerfRun {
-        label: opts.label.clone(),
-        kernel: Some(opts.kernel_name().to_string()),
-        entries,
-        repro_all_wall_secs: None,
-    }
 }
 
 /// Phase breakdown of one matrix case from a profiled sweep.
@@ -415,10 +110,8 @@ pub struct ProfiledCase {
 /// totals for the whole sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProfiledRun {
-    /// Run label (same convention as [`PerfRun::label`]).
+    /// Human-chosen label naming the run (and its artifact files).
     pub label: String,
-    /// Scan-kernel variant the sweep ran with (see [`PerfOptions::kernel_name`]).
-    pub kernel: String,
     /// Calibrated tick rate, for converting phase ticks to seconds.
     pub ticks_per_sec: f64,
     /// Per-case phase breakdowns.
@@ -452,7 +145,7 @@ impl ProfiledRun {
     /// sweep-wide totals and (when present) hardware counts.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "profiled run `{}` (kernel: {})", self.label, self.kernel);
+        let _ = writeln!(s, "profiled run `{}`", self.label);
         for case in &self.cases {
             let total: u64 = case.phase_ticks.iter().map(|(_, t)| *t).sum();
             let total = total.max(1);
@@ -505,11 +198,11 @@ impl ProfiledRun {
 }
 
 /// Run the matrix once per case under the phase profiler, producing a
-/// [`ProfiledRun`]. Uses a single timed pass per case (no best-of-N —
-/// phase *shares* are robust to host noise even when absolute rates are
-/// not) and wraps the whole sweep in self-attached hardware counters
-/// where the host permits.
-pub fn run_perf_profiled(opts: &PerfOptions) -> ProfiledRun {
+/// [`ProfiledRun`]. One pass per case is enough: phase *shares* are
+/// robust to host noise even when absolute rates are not. The whole
+/// sweep is wrapped in self-attached hardware counters where the host
+/// permits.
+pub fn run_profile(opts: &PerfOptions) -> ProfiledRun {
     let counters = smt_collect::SelfCounters::open();
     let mut cases = Vec::new();
     let mut total = smt_sim::PhaseProfile::default();
@@ -519,12 +212,6 @@ pub fn run_perf_profiled(opts: &PerfOptions) -> ProfiledRun {
             case.smt,
             SyntheticWorkload::new((case.spec)()),
         );
-        if let Some(engine) = case.engine.or(opts.engine) {
-            sim.set_issue_engine(engine);
-        }
-        if let Some(kernel) = opts.kernel {
-            sim.set_scan_kernel(kernel);
-        }
         sim.run_cycles(WARMUP_CYCLES);
         let mut prof = smt_sim::PhaseProfile::default();
         let cycles = sim.run_cycles_profiled(opts.window, &mut prof);
@@ -543,7 +230,6 @@ pub fn run_perf_profiled(opts: &PerfOptions) -> ProfiledRun {
     }
     ProfiledRun {
         label: opts.label.clone(),
-        kernel: opts.kernel_name().to_string(),
         ticks_per_sec: smt_sim::ticks_per_sec(),
         cases,
         total: total
@@ -556,212 +242,22 @@ pub fn run_perf_profiled(opts: &PerfOptions) -> ProfiledRun {
     }
 }
 
-/// One case whose throughput regressed past the tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// The case id (`bench/smtN`).
-    pub case: String,
-    /// Baseline cycles/sec (from the committed report).
-    pub baseline: f64,
-    /// Freshly measured cycles/sec.
-    pub current: f64,
-}
-
-impl Regression {
-    /// Fractional slowdown, e.g. `0.25` for a 25% throughput drop.
-    pub fn slowdown(&self) -> f64 {
-        1.0 - self.current / self.baseline
-    }
-}
-
-/// Compare `current` against `baseline`, returning every case whose
-/// cycles/sec dropped by more than `tolerance` (a fraction, e.g. `0.2`).
-/// Cases present on only one side are ignored — the matrix is allowed to
-/// grow between PRs.
-pub fn check_regression(current: &PerfRun, baseline: &PerfRun, tolerance: f64) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for b in &baseline.entries {
-        if b.cycles_per_sec <= 0.0 {
-            continue;
-        }
-        if let Some(c) = current.entry(&b.case_id()) {
-            if c.cycles_per_sec < b.cycles_per_sec * (1.0 - tolerance) {
-                out.push(Regression {
-                    case: b.case_id(),
-                    baseline: b.cycles_per_sec,
-                    current: c.cycles_per_sec,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Render a run as an aligned human-readable table.
-pub fn format_run(run: &PerfRun) -> String {
-    let mut s = String::new();
-    match &run.kernel {
-        Some(k) => {
-            let _ = writeln!(s, "perf run `{}` (kernel: {k})", run.label);
-        }
-        None => {
-            let _ = writeln!(s, "perf run `{}`", run.label);
-        }
-    }
-    let _ = writeln!(
-        s,
-        "  {:<24} {:>4} {:>12} {:>12} {:>14}",
-        "bench", "smt", "cycles", "wall (ms)", "cycles/sec"
-    );
-    for e in &run.entries {
-        let _ = writeln!(
-            s,
-            "  {:<24} {:>4} {:>12} {:>12.3} {:>14.0}",
-            e.bench,
-            e.smt,
-            e.cycles,
-            e.wall_secs * 1e3,
-            e.cycles_per_sec
-        );
-    }
-    let _ = writeln!(
-        s,
-        "  geomean {:.0} cycles/sec over {} cases",
-        run.geomean_cycles_per_sec(),
-        run.entries.len()
-    );
-    if let Some(w) = run.repro_all_wall_secs {
-        let _ = writeln!(s, "  repro all --scale 0.05 (cold): {w:.1}s");
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entry(bench: &str, smt: usize, rate: f64) -> PerfEntry {
-        PerfEntry {
-            bench: bench.to_string(),
-            smt,
-            cycles: 1000,
-            wall_secs: 1000.0 / rate,
-            cycles_per_sec: rate,
-        }
-    }
-
-    fn run_with(rates: &[(&str, usize, f64)]) -> PerfRun {
-        PerfRun {
-            label: "test".to_string(),
-            kernel: None,
-            entries: rates.iter().map(|&(b, s, r)| entry(b, s, r)).collect(),
-            repro_all_wall_secs: None,
-        }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut report = PerfReport::new();
-        report.push(run_with(&[("p7_ep", 1, 1e6), ("p7_ep", 4, 5e5)]));
-        report.runs[0].repro_all_wall_secs = Some(32.5);
-        let dir = std::env::temp_dir().join("smt_perf_test_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sim.json");
-        report.save(&path).unwrap();
-        let loaded = PerfReport::load(&path).unwrap();
-        assert_eq!(loaded, report);
-        assert_eq!(loaded.latest().unwrap().entries.len(), 2);
-    }
-
-    #[test]
-    fn regression_check_flags_only_past_tolerance() {
-        let base = run_with(&[("a", 1, 1000.0), ("b", 4, 1000.0), ("gone", 2, 1000.0)]);
-        let cur = run_with(&[("a", 1, 850.0), ("b", 4, 700.0), ("new", 2, 10.0)]);
-        let regs = check_regression(&cur, &base, 0.2);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].case, "b/smt4");
-        assert!((regs[0].slowdown() - 0.3).abs() < 1e-9);
-    }
 
     #[test]
     fn quick_run_measures_every_case() {
         let opts = PerfOptions {
             label: "unit".to_string(),
             window: 500,
-            samples: 1,
-            engine: None,
-            kernel: None,
         };
-        let run = run_perf(&opts);
-        assert_eq!(run.entries.len(), matrix().len());
-        for e in &run.entries {
-            assert!(e.cycles > 0, "{} simulated nothing", e.bench);
-            assert!(e.cycles_per_sec > 0.0);
+        let run = run_profile(&opts);
+        assert_eq!(run.cases.len(), matrix().len());
+        for c in &run.cases {
+            assert!(c.cycles > 0, "{} simulated nothing", c.bench);
+            assert!(c.steps > 0, "{} timed no core-steps", c.bench);
         }
-    }
-
-    #[test]
-    fn schema1_run_without_kernel_tag_loads() {
-        // A trajectory file written before the `kernel` field existed.
-        let body = r#"{
-            "schema": 1,
-            "runs": [{
-                "label": "pr2-before",
-                "entries": [{
-                    "bench": "p7_ep", "smt": 1, "cycles": 1000,
-                    "wall_secs": 0.01, "cycles_per_sec": 100000.0
-                }],
-                "repro_all_wall_secs": null
-            }]
-        }"#;
-        let dir = std::env::temp_dir().join("smt_perf_test_schema1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sim.json");
-        std::fs::write(&path, body).unwrap();
-        let report = PerfReport::load(&path).unwrap();
-        assert_eq!(report.runs[0].kernel, None);
-        assert_eq!(report.runs[0].entries[0].smt, 1);
-        // Re-saving writes the current schema and keeps the run readable.
-        report.save(&path).unwrap();
-        let again = PerfReport::load(&path).unwrap();
-        assert_eq!(again.runs, report.runs);
-    }
-
-    #[test]
-    fn kernel_tag_round_trips() {
-        let mut report = PerfReport::new();
-        let mut run = run_with(&[("p7_ep", 1, 1e6)]);
-        run.kernel = Some("scalar-u64".to_string());
-        report.push(run);
-        let dir = std::env::temp_dir().join("smt_perf_test_kernel_tag");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_sim.json");
-        report.save(&path).unwrap();
-        let loaded = PerfReport::load(&path).unwrap();
-        assert_eq!(loaded.runs[0].kernel.as_deref(), Some("scalar-u64"));
-    }
-
-    #[test]
-    fn matrix_pins_the_legacy_cross_check_case() {
-        let cases = matrix();
-        let legacy = cases
-            .iter()
-            .find(|c| c.bench == "p7_specjbb_contention_legacy")
-            .expect("legacy cross-check case present");
-        assert_eq!(legacy.engine, Some(IssueEngine::Legacy));
-        // Its twin runs the default engine so the trajectory records the
-        // same workload both ways.
-        let twin = cases
-            .iter()
-            .find(|c| c.bench == "p7_specjbb_contention")
-            .expect("default-engine twin present");
-        assert_eq!(twin.engine, None);
-        assert_eq!(legacy.smt, twin.smt);
-    }
-
-    #[test]
-    fn geomean_is_scale_stable() {
-        let run = run_with(&[("a", 1, 100.0), ("b", 1, 400.0)]);
-        assert!((run.geomean_cycles_per_sec() - 200.0).abs() < 1e-6);
+        assert!(!run.folded().is_empty());
     }
 }

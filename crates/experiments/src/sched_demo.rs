@@ -176,7 +176,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: full scheduler demo; run with --ignored"]
     fn demo_runs_and_dynamic_is_reasonable() {
         let demo = run(0.05, 0.10, 0.15, 500_000_000).unwrap();
         assert_eq!(demo.scenarios.len(), 3);

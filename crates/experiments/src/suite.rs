@@ -133,7 +133,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: collects a real (tiny) suite; run with --ignored"]
     fn tiny_collection_has_all_levels() {
         let data = SuiteData::collect(Machine::Nehalem, 0.01).unwrap();
         assert_eq!(data.results.len(), Machine::Nehalem.suite().len());

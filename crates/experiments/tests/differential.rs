@@ -1,16 +1,17 @@
 //! Differential proof for the simulator's optimized hot paths: over
 //! catalog workloads × SMT levels × machines, every combination of
-//! [`Stepping::FastForward`], the SoA bitset issue engine, and the SIMD
-//! scan kernel must produce **bit-identical** per-thread and core counter
-//! snapshots, completion cycles, and work totals to the naive,
-//! legacy-engine one-cycle-at-a-time reference — the acceptance bar that
-//! lets every figure in the repo run on the optimized paths without
-//! re-validating the science.
+//! [`Stepping::FastForward`] and the SoA bitset issue engine must produce
+//! **bit-identical** per-thread and core counter snapshots, completion
+//! cycles, and work totals to the naive, legacy-engine
+//! one-cycle-at-a-time reference — the acceptance bar that lets every
+//! figure in the repo run on the optimized paths without re-validating
+//! the science. The phase profiler (`run_cycles_profiled`) must be just
+//! as invisible: a profiled run leaves the same counters as a plain one.
 
 use proptest::prelude::*;
 use smt_sim::{
-    simd_available, CoreCounters, IssueEngine, MachineConfig, RunResult, ScanKernel, Simulation,
-    SmtLevel, Stepping, ThreadCounters,
+    CoreCounters, IssueEngine, MachineConfig, PhaseProfile, RunResult, Simulation, SmtLevel,
+    Stepping, ThreadCounters,
 };
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 
@@ -34,7 +35,7 @@ fn run_with(
     spec: &WorkloadSpec,
     stepping: Stepping,
 ) -> Snapshot {
-    run_engine(cfg, smt, spec, stepping, None, None)
+    run_engine(cfg, smt, spec, stepping, None)
 }
 
 fn run_engine(
@@ -43,15 +44,11 @@ fn run_engine(
     spec: &WorkloadSpec,
     stepping: Stepping,
     engine: Option<IssueEngine>,
-    kernel: Option<ScanKernel>,
 ) -> Snapshot {
     let mut sim = Simulation::new(cfg.clone(), smt, SyntheticWorkload::new(spec.clone()));
     sim.set_stepping(stepping);
     if let Some(engine) = engine {
         sim.set_issue_engine(engine);
-    }
-    if let Some(kernel) = kernel {
-        sim.set_scan_kernel(kernel);
     }
     let result = sim.run_until_finished(MAX_CYCLES);
     Snapshot {
@@ -130,21 +127,18 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
     /// The tentpole differential: SoA bitset engine × stepping × machine
     /// × workload, all judged against the legacy-engine naive-stepper
-    /// reference. Covers both the scalar-u64 kernel (forced) and, where
-    /// the host supports it, the auto-dispatched AVX2 kernel.
+    /// reference.
     #[test]
     fn soa_engine_matches_legacy_reference_bit_for_bit(
         machine_idx in 0usize..6,
         spec_idx in 0usize..6,
         fast_forward in any::<bool>(),
-        force_scalar in any::<bool>(),
     ) {
         let (cfg, smt) = machines().swap_remove(machine_idx);
         let spec = specs().swap_remove(spec_idx);
         let stepping = if fast_forward { Stepping::FastForward } else { Stepping::Naive };
-        let kernel = if force_scalar { Some(ScanKernel::ScalarU64) } else { None };
-        let reference = run_engine(&cfg, smt, &spec, Stepping::Naive, Some(IssueEngine::Legacy), None);
-        let soa = run_engine(&cfg, smt, &spec, stepping, Some(IssueEngine::Soa), kernel);
+        let reference = run_engine(&cfg, smt, &spec, Stepping::Naive, Some(IssueEngine::Legacy));
+        let soa = run_engine(&cfg, smt, &spec, stepping, Some(IssueEngine::Soa));
         prop_assert!(reference.result.completed, "reference run hit the cycle cap");
         prop_assert_eq!(&reference.result, &soa.result);
         prop_assert_eq!(reference.now, soa.now);
@@ -153,37 +147,35 @@ proptest! {
     }
 }
 
-/// Scalar-u64 and AVX2 scan kernels must agree exactly; skipped (trivially
-/// green) on hosts without AVX2, where [`ScanKernel::Simd`] cannot run.
+/// The phase profiler only reads the clock around each pipeline phase:
+/// a run sliced through `run_cycles_profiled` must leave the same cycle,
+/// counters and fast-forward jumps as `run_cycles` in the same slices.
 #[test]
-fn simd_kernel_matches_scalar_kernel() {
-    if !simd_available() {
-        eprintln!("skipping: AVX2 unavailable on this host");
-        return;
-    }
-    for (cfg, smt) in machines() {
-        let spec = catalog::stream().scaled(0.004);
-        let scalar = run_engine(
-            &cfg,
-            smt,
-            &spec,
-            Stepping::FastForward,
-            Some(IssueEngine::Soa),
-            Some(ScanKernel::ScalarU64),
-        );
-        let simd = run_engine(
-            &cfg,
-            smt,
-            &spec,
-            Stepping::FastForward,
-            Some(IssueEngine::Soa),
-            Some(ScanKernel::Simd),
-        );
-        assert!(scalar.result.completed);
-        assert_eq!(scalar.result, simd.result);
-        assert_eq!(scalar.now, simd.now);
-        assert_eq!(scalar.cores, simd.cores);
-        assert_eq!(scalar.per_thread, simd.per_thread);
+fn profiled_run_matches_plain_run() {
+    const SLICE: u64 = 10_000;
+    for spec in [
+        catalog::stream().scaled(0.004),
+        catalog::specjbb_contention().scaled(0.2),
+    ] {
+        for (cfg, smt) in machines() {
+            let mk = || Simulation::new(cfg.clone(), smt, SyntheticWorkload::new(spec.clone()));
+            let mut plain = mk();
+            let mut profiled = mk();
+            let mut prof = PhaseProfile::default();
+            while !plain.finished() && plain.now() < MAX_CYCLES {
+                let a = plain.run_cycles(SLICE);
+                let b = profiled.run_cycles_profiled(SLICE, &mut prof);
+                assert_eq!(a, b, "{} at {smt}", spec.name);
+                assert_eq!(plain.now(), profiled.now());
+                assert_eq!(plain.thread_counters(), profiled.thread_counters());
+                assert_eq!(plain.core_counters(), profiled.core_counters());
+                assert_eq!(plain.idle_cycles_skipped(), profiled.idle_cycles_skipped());
+                assert_eq!(plain.stall_cycles_elided(), profiled.stall_cycles_elided());
+            }
+            assert!(plain.finished(), "{} at {smt} hit the cycle cap", spec.name);
+            assert!(profiled.finished());
+            assert!(prof.steps > 0, "the profiler timed no core-steps");
+        }
     }
 }
 

@@ -40,7 +40,7 @@ use crate::cache::MemorySystem;
 use crate::counters::{CoreCounters, ThreadCounters};
 use crate::isa::{Fetched, Instr, InstrClass, NUM_CLASSES};
 use crate::profile::{self, PhaseProfile};
-use crate::soa::{self, IssueEngine, ScanKernel, SoaQueue};
+use crate::soa::{self, IssueEngine, SoaQueue};
 use crate::workload::Workload;
 use std::collections::VecDeque;
 
@@ -432,8 +432,6 @@ pub struct Core {
     caps_for_active: usize,
     /// Optional per-core gshare predictor (shared by the hardware threads).
     bpred: Option<BranchPredictor>,
-    /// SIMD word kernel resolved for this host (SoA engine only).
-    use_simd: bool,
     /// Timing a profiled step: `try_issue` attributes cache-walk ticks.
     profiling: bool,
     /// Cache-walk ticks accumulated during the current profiled issue
@@ -448,25 +446,18 @@ pub struct Core {
 }
 
 impl Core {
-    /// Build a core at SMT level `ways` with the default engine and
-    /// kernel, binding hardware context `k` to software thread `sw_ids[k]`.
+    /// Build a core at SMT level `ways` with the default engine, binding
+    /// hardware context `k` to software thread `sw_ids[k]`.
     pub fn new(arch: &ArchDescriptor, id: usize, sw_ids: &[usize]) -> Core {
-        Core::with_engine(
-            arch,
-            id,
-            sw_ids,
-            IssueEngine::default(),
-            ScanKernel::default(),
-        )
+        Core::with_engine(arch, id, sw_ids, IssueEngine::default())
     }
 
-    /// Build a core with an explicit issue engine and scan kernel.
+    /// Build a core with an explicit issue engine.
     pub fn with_engine(
         arch: &ArchDescriptor,
         id: usize,
         sw_ids: &[usize],
         engine: IssueEngine,
-        kernel: ScanKernel,
     ) -> Core {
         let ways = sw_ids.len();
         assert!(
@@ -547,7 +538,6 @@ impl Core {
             held_mask: 0,
             caps_for_active: 0,
             bpred: arch.branch_predictor.map(BranchPredictor::new),
-            use_simd: soa::resolve_kernel(kernel),
             profiling: false,
             prof_mem_ticks: 0,
             woken: Vec::new(),
@@ -1092,7 +1082,7 @@ impl Core {
                 // exactly the slots the legacy walk would have acted on:
                 // known-ready ones, plus every unknown one whose readiness
                 // could have changed since it was last inspected.
-                let wait = soa::wait_mask(self.use_simd, known, &q.ready_at[base..base + 64], now);
+                let wait = soa::wait_mask(known, &q.ready_at[base..base + 64], now);
                 if blocked != 0 {
                     // Sleeping consumers veto quiescence exactly as their
                     // per-cycle rescan would have (and have no other effect
@@ -1607,14 +1597,16 @@ impl Core {
     /// when the core could do anything else *this* cycle.
     ///
     /// A stall needs a visible, dependency-ready load or store that
-    /// misses L1 while the LMQ is full and no slot frees by `now`;
-    /// only the SoA engine's cores predict them (`r` is always 0 under
-    /// [`IssueEngine::Legacy`]). Nothing inside the window changes which
+    /// misses L1 while the LMQ is full and no slot frees by `now`.
+    /// Nothing inside the window changes which
     /// entries are visible or ready, the L1 contents, or the LMQ, so every
     /// cycle rejects the same `r` entries. The caller arms a window only
     /// when `r` equals the rejections of the step just taken
     /// ([`Core::step_rejections`]), so [`Core::charge_idle`] replays that
     /// step's event delta exactly.
+    ///
+    /// Cores on the [`IssueEngine::Legacy`] reference engine always return
+    /// `None`: the reference is stepped cycle by cycle.
     ///
     /// Sound on its own: every condition that could make a cycle do work
     /// is checked directly. `Some((u64::MAX, 0))` means the core can never
@@ -1627,6 +1619,9 @@ impl Core {
         mem: &MemorySystem,
         now: u64,
     ) -> Option<(u64, u32)> {
+        let QueueBank::Soa(qs) = &self.bank else {
+            return None;
+        };
         let mut next = u64::MAX;
         let mut rejections = 0u32;
         for (t, ctx) in self.ctxs.iter().enumerate() {
@@ -1675,94 +1670,48 @@ impl Core {
         // one completing in the future issues — or parks — at completion.
         // Producers still `PENDING` need no event: their own issue is
         // activity that re-arms the analysis.
-        match &self.bank {
-            QueueBank::Legacy(qs) => {
-                for q in qs {
-                    // A queue the issue stage has proven quiet needs no
-                    // per-entry walk: its earliest possible event is the
-                    // memoized mark (an earlier wake-up than strictly
-                    // necessary is always safe).
-                    if q.quiet_until > now {
-                        if q.quiet_until != u64::MAX {
-                            next = next.min(q.quiet_until);
-                        }
-                        continue;
-                    }
-                    let mut seen = 0usize;
-                    for e in q.entries.iter() {
-                        if e.hw == TOMBSTONE {
-                            continue;
-                        }
-                        if seen >= arch.issue_scan_depth {
-                            break;
-                        }
-                        seen += 1;
-                        if e.ready_at > now {
-                            next = next.min(e.ready_at);
-                            continue;
-                        }
-                        let ctx = &self.ctxs[e.hw as usize];
-                        if ctx.dep_ready(e.seq, e.instr.dep_dist, now) {
-                            return None; // would issue (or LMQ-reject) now
-                        }
-                        if e.instr.dep_dist > 0 && e.seq >= u64::from(e.instr.dep_dist) {
-                            let c =
-                                ctx.comp[((e.seq - u64::from(e.instr.dep_dist)) as usize) % RING];
-                            if c != PENDING {
-                                next = next.min(c);
-                            }
-                        }
-                    }
+        let lmq_full = self.lmq.len() >= self.lmq_capacity && self.lmq_min > now;
+        for q in qs {
+            if q.quiet_until > now {
+                if q.quiet_until != u64::MAX {
+                    next = next.min(q.quiet_until);
                 }
+                continue;
             }
-            QueueBank::Soa(qs) => {
-                let lmq_full = self.lmq.len() >= self.lmq_capacity && self.lmq_min > now;
-                for q in qs {
-                    if q.quiet_until > now {
-                        if q.quiet_until != u64::MAX {
-                            next = next.min(q.quiet_until);
-                        }
+            let mut seen = 0usize;
+            'scan: for w in 0..q.occ.len() {
+                let mut bits = q.occ[w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if seen >= arch.issue_scan_depth {
+                        break 'scan;
+                    }
+                    seen += 1;
+                    let s = (w << 6) + b;
+                    let ra = q.ready_at[s];
+                    if ra > now {
+                        next = next.min(ra);
                         continue;
                     }
-                    let mut seen = 0usize;
-                    'scan: for w in 0..q.occ.len() {
-                        let mut bits = q.occ[w];
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            if seen >= arch.issue_scan_depth {
-                                break 'scan;
-                            }
-                            seen += 1;
-                            let s = (w << 6) + b;
-                            let ra = q.ready_at[s];
-                            if ra > now {
-                                next = next.min(ra);
-                                continue;
-                            }
-                            let ctx = &self.ctxs[q.hw[s] as usize];
-                            let seq = q.seq[s];
-                            let instr = q.instr[s];
-                            let dep = instr.dep_dist;
-                            if ctx.dep_ready(seq, dep, now) {
-                                // Rejected until an LMQ slot frees: only
-                                // this core's own accesses fill its L1 and
-                                // LMQ, and it makes none meanwhile.
-                                if instr.class.is_mem()
-                                    && lmq_full
-                                    && !mem.probe_l1(self.id, instr.addr)
-                                {
-                                    rejections += 1;
-                                    continue;
-                                }
-                                return None; // would issue now
-                            }
-                            if dep > 0 && seq >= u64::from(dep) {
-                                let c = ctx.comp[((seq - u64::from(dep)) as usize) % RING];
-                                if c != PENDING {
-                                    next = next.min(c);
-                                }
-                            }
+                    let ctx = &self.ctxs[q.hw[s] as usize];
+                    let seq = q.seq[s];
+                    let instr = q.instr[s];
+                    let dep = instr.dep_dist;
+                    if ctx.dep_ready(seq, dep, now) {
+                        // Rejected until an LMQ slot frees: only this core's
+                        // own accesses fill its L1 and LMQ, and it makes none
+                        // meanwhile.
+                        if instr.class.is_mem() && lmq_full && !mem.probe_l1(self.id, instr.addr) {
+                            rejections += 1;
+                            continue;
+                        }
+                        return None; // would issue now
+                    }
+                    if dep > 0 && seq >= u64::from(dep) {
+                        let c = ctx.comp[((seq - u64::from(dep)) as usize) % RING];
+                        if c != PENDING {
+                            next = next.min(c);
                         }
                     }
                 }
@@ -2174,8 +2123,7 @@ mod tests {
             .collect();
         let mut w = ScriptedWorkload::new("fx", script);
         w.set_thread_count(1);
-        let mut core =
-            Core::with_engine(&arch, 0, &[0], IssueEngine::Legacy, ScanKernel::ScalarU64);
+        let mut core = Core::with_engine(&arch, 0, &[0], IssueEngine::Legacy);
         assert_eq!(core.engine(), IssueEngine::Legacy);
         let mut sw = vec![ThreadCounters::new(arch.num_ports()); 1];
         let cycles = run_core(&arch, &mut core, &mut w, &mut sw, 10_000);
@@ -2210,7 +2158,7 @@ mod tests {
         let mk = |engine: IssueEngine| {
             let mut w = ScriptedWorkload::new("mix", script.clone());
             w.set_thread_count(2);
-            let core = Core::with_engine(&arch, 0, &[0, 1], engine, ScanKernel::ScalarU64);
+            let core = Core::with_engine(&arch, 0, &[0, 1], engine);
             let sw = vec![ThreadCounters::new(arch.num_ports()); 2];
             (w, core, sw)
         };

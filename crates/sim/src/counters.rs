@@ -11,7 +11,7 @@
 //! both issue engines (the legacy entry walk and the word-parallel SoA
 //! bitset engine, DESIGN.md §3.13) must produce identical values in both
 //! banks at *every* observation point, not just at completion — enforced
-//! across engines, scan kernels, and stepping modes by the differential
+//! across engines, stepping modes and the phase profiler by the differential
 //! proptests in `crates/experiments/tests/differential.rs`.
 
 use crate::arch::SmtLevel;

@@ -53,5 +53,5 @@ pub use error::Error;
 pub use isa::{Fetched, Instr, InstrBlock, InstrClass, DEP_WINDOW, NUM_CLASSES};
 pub use machine::{MachineConfig, RunResult, Simulation, Stepping};
 pub use profile::{ticks_per_sec, PhaseProfile};
-pub use soa::{simd_available, IssueEngine, ScanKernel};
+pub use soa::IssueEngine;
 pub use workload::{ScriptedWorkload, Workload};

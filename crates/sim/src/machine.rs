@@ -15,29 +15,9 @@ use crate::core::{Core, StepMode};
 use crate::counters::{CoreCounters, ThreadCounters, WindowMeasurement};
 use crate::error::Error;
 use crate::profile::PhaseProfile;
-use crate::soa::{IssueEngine, ScanKernel};
+use crate::soa::IssueEngine;
 use crate::workload::Workload;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
-
-/// Issue-engine selection from the `SMT_SIM_ENGINE` environment variable
-/// (`legacy`, `soa`, `soa-scalar`, `soa-simd`), read once per process.
-/// Unset means the defaults ([`IssueEngine::Soa`], [`ScanKernel::Auto`]).
-/// This is the escape hatch for comparing engines on a built binary
-/// without recompiling or new CLI flags on every tool.
-fn env_engine() -> (IssueEngine, ScanKernel) {
-    static ENV: OnceLock<(IssueEngine, ScanKernel)> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("SMT_SIM_ENGINE").as_deref() {
-        Ok("legacy") => (IssueEngine::Legacy, ScanKernel::Auto),
-        Ok("soa") => (IssueEngine::Soa, ScanKernel::Auto),
-        Ok("soa-scalar") => (IssueEngine::Soa, ScanKernel::ScalarU64),
-        Ok("soa-simd") => (IssueEngine::Soa, ScanKernel::Simd),
-        Ok(other) => {
-            panic!("unknown SMT_SIM_ENGINE `{other}` (expected legacy|soa|soa-scalar|soa-simd)")
-        }
-        Err(_) => (IssueEngine::default(), ScanKernel::default()),
-    })
-}
 
 /// Configuration of a complete machine.
 #[derive(Debug, Clone, Serialize)]
@@ -285,8 +265,6 @@ pub struct Simulation<W: Workload> {
     stepping: Stepping,
     /// Issue engine the cores were built with.
     engine: IssueEngine,
-    /// Scan kernel the cores were built with (SoA engine only).
-    kernel: ScanKernel,
     /// Cycles advanced via fast-forward jumps (diagnostics/tests).
     idle_skipped: u64,
     /// Core-cycles charged through stall windows (diagnostics/tests).
@@ -328,8 +306,8 @@ impl<W: Workload> Simulation<W> {
             cfg.l3,
             cfg.mem,
         );
-        let (engine, kernel) = env_engine();
-        let cores = Self::build_cores(&cfg, smt, engine, kernel);
+        let engine = IssueEngine::Soa;
+        let cores = Self::build_cores(&cfg, smt, engine);
         let ncores = cores.len();
         let sw = vec![ThreadCounters::new(cfg.arch.num_ports()); n];
         Simulation {
@@ -342,7 +320,6 @@ impl<W: Workload> Simulation<W> {
             sw,
             stepping: Stepping::FastForward,
             engine,
-            kernel,
             idle_skipped: 0,
             stall_elided: 0,
             idle_debt: vec![0; ncores],
@@ -353,29 +330,14 @@ impl<W: Workload> Simulation<W> {
     /// Hardware context `k` of core `c` is bound to software thread
     /// `k * ncores + c`, so threads spread across cores first (as an OS
     /// scheduler would place them).
-    fn build_cores(
-        cfg: &MachineConfig,
-        smt: SmtLevel,
-        engine: IssueEngine,
-        kernel: ScanKernel,
-    ) -> Vec<Core> {
+    fn build_cores(cfg: &MachineConfig, smt: SmtLevel, engine: IssueEngine) -> Vec<Core> {
         let ncores = cfg.total_cores();
         (0..ncores)
             .map(|c| {
                 let sw_ids: Vec<usize> = (0..smt.ways()).map(|k| k * ncores + c).collect();
-                Core::with_engine(&cfg.arch, c, &sw_ids, engine, kernel)
+                Core::with_engine(&cfg.arch, c, &sw_ids, engine)
             })
             .collect()
-    }
-
-    /// The issue engine the cores run.
-    pub fn issue_engine(&self) -> IssueEngine {
-        self.engine
-    }
-
-    /// The scan kernel the cores were built with.
-    pub fn scan_kernel(&self) -> ScanKernel {
-        self.kernel
     }
 
     /// Rebuild the cores with a different issue engine. Only legal before
@@ -384,18 +346,7 @@ impl<W: Workload> Simulation<W> {
     pub fn set_issue_engine(&mut self, engine: IssueEngine) {
         assert_eq!(self.now, 0, "engine can only change before cycle 0");
         self.engine = engine;
-        self.cores = Self::build_cores(&self.cfg, self.smt, self.engine, self.kernel);
-        self.quiet_cache.fill(0);
-        self.idle_debt.fill(0);
-    }
-
-    /// Rebuild the cores with a different scan kernel. Only legal before
-    /// the first cycle. Panics if [`ScanKernel::Simd`] is forced on a host
-    /// without AVX2 — gate on [`crate::soa::simd_available`].
-    pub fn set_scan_kernel(&mut self, kernel: ScanKernel) {
-        assert_eq!(self.now, 0, "kernel can only change before cycle 0");
-        self.kernel = kernel;
-        self.cores = Self::build_cores(&self.cfg, self.smt, self.engine, self.kernel);
+        self.cores = Self::build_cores(&self.cfg, self.smt, self.engine);
         self.quiet_cache.fill(0);
         self.idle_debt.fill(0);
     }
@@ -587,7 +538,7 @@ impl<W: Workload> Simulation<W> {
 
     /// Like [`run_cycles`](Self::run_cycles), but timestamps every pipeline
     /// phase of every core-step and accumulates the tick deltas into
-    /// `prof`. Used by `repro perf --flamegraph`; not meant for throughput
+    /// `prof`. Used by `repro perf`; not meant for throughput
     /// measurement (see the [`crate::profile`] overhead note).
     pub fn run_cycles_profiled(&mut self, n: u64, prof: &mut PhaseProfile) -> u64 {
         let start = self.now;
@@ -735,7 +686,7 @@ impl<W: Workload> Simulation<W> {
         self.smt = smt;
         let n = self.cfg.sw_threads_at(smt);
         self.workload.set_thread_count(n);
-        self.cores = Self::build_cores(&self.cfg, smt, self.engine, self.kernel);
+        self.cores = Self::build_cores(&self.cfg, smt, self.engine);
         self.quiet_cache = vec![0; self.cores.len()];
         self.idle_debt = vec![0; self.cores.len()];
         self.sw = vec![ThreadCounters::new(self.cfg.arch.num_ports()); n];

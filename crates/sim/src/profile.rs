@@ -1,7 +1,7 @@
 //! Self-profiling support: cycle-attributed per-phase timing of the
 //! simulator's own hot path.
 //!
-//! `repro perf --flamegraph` runs the standard perf matrix through
+//! `repro perf` runs a fixed workload matrix through
 //! [`Simulation::run_cycles_profiled`](crate::machine::Simulation::run_cycles_profiled),
 //! which timestamps every pipeline phase of every core-step with [`ticks`]
 //! (the TSC on x86-64, a monotonic-clock fallback elsewhere) and
@@ -12,8 +12,11 @@
 //!
 //! Overhead note: a phase boundary is one `rdtsc` (~10 ns), five per
 //! simulated core-cycle, so profiled runs are slower than plain runs and
-//! their absolute cycles/sec is *not* comparable to `BENCH_sim.json`
-//! numbers. The per-phase *shares* are what the mode is for.
+//! their absolute cycles/sec is *not* a speed measurement; the repository
+//! benchmark (`BENCHMARK.json`) is. The per-phase *shares* are what the
+//! mode is for. Profiling never changes what is simulated: a profiled run
+//! leaves the same counters as a plain one (checked by
+//! `profiled_run_matches_plain_run` in the differential suite).
 
 /// Per-phase tick totals over a profiled run. All tick fields are in
 /// [`ticks`] units; convert with [`ticks_per_sec`].

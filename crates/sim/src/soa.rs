@@ -14,7 +14,7 @@
 //! With that layout one 64-slot word of the queue is classified in a few
 //! mask operations: `known = occ & !unknown` entries carry an immutable
 //! producer-completion timestamp, so "which of these are still waiting?"
-//! is a vectorizable `ready_at[i] > now` compare across the word
+//! is a `ready_at[i] > now` compare across the word
 //! ([`wait_mask`]), and the slots that need the slow path — issue, park,
 //! memoize, or a dependence-ring lookup — are exactly
 //! `(known & !wait) | unknown`, iterated with `trailing_zeros`. Everything
@@ -26,23 +26,16 @@
 //! differential suite (`crates/experiments/tests/differential.rs`) checks
 //! bit-for-bit.
 //!
-//! The word kernel has two implementations selected by [`ScanKernel`]:
-//! a portable sparse `u64` bit-iterator, and an AVX2 variant
-//! (`core::arch` intrinsics behind `is_x86_feature_detected!`, the same
-//! no-new-deps discipline as the raw-syscall layers in `smt-collect` and
-//! `smt-service`) that compares four timestamps per instruction and is
-//! preferred for dense words. x86-64's baseline SSE2 still applies to the
-//! scalar path through autovectorization; the explicit intrinsics exist
-//! because 64-bit compares only pay off at AVX2 widths.
+//! The word kernel is a portable sparse `u64` bit-iterator over `known`.
 
 use crate::isa::{Instr, InstrClass};
 
 /// Which issue-queue engine a core runs.
 ///
 /// Both engines are bit-identical by construction and by differential
-/// proof; `Legacy` is kept as the executable reference the proofs compare
-/// against (and as a fallback should a future port find a miscompile in
-/// the mask kernels).
+/// proof. `Simulation::new` always builds `Soa` cores; `Legacy` is kept
+/// only as the executable reference the proofs compare against, selected
+/// through `Simulation::set_issue_engine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IssueEngine {
     /// The original `VecDeque<QEntry>` per-entry scan.
@@ -51,82 +44,6 @@ pub enum IssueEngine {
     #[default]
     Soa,
 }
-
-/// Which word kernel the SoA engine uses for the ready-timestamp compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanKernel {
-    /// Pick the widest kernel the host supports (AVX2 when detected,
-    /// scalar otherwise), per word: sparse words use the scalar path even
-    /// when SIMD is available because iterating three set bits beats
-    /// comparing sixty-four lanes.
-    #[default]
-    Auto,
-    /// Portable `u64` bit-iteration only.
-    ScalarU64,
-    /// Force the SIMD compare for every non-empty word. Panics at core
-    /// construction if the host lacks AVX2 — gate on
-    /// [`simd_available`] first.
-    Simd,
-}
-
-impl ScanKernel {
-    /// Parse a CLI/env spelling (`auto`, `scalar`, `simd`).
-    pub fn parse(s: &str) -> Option<ScanKernel> {
-        match s {
-            "auto" => Some(ScanKernel::Auto),
-            "scalar" | "scalar-u64" => Some(ScanKernel::ScalarU64),
-            "simd" => Some(ScanKernel::Simd),
-            _ => None,
-        }
-    }
-
-    /// Canonical name as recorded in `BENCH_sim.json` runs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScanKernel::Auto => "auto",
-            ScanKernel::ScalarU64 => "scalar-u64",
-            ScanKernel::Simd => "simd",
-        }
-    }
-}
-
-/// Whether the SIMD word kernel can run on this host.
-pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Resolved kernel choice for one core: `true` = SIMD allowed.
-pub(crate) fn resolve_kernel(kernel: ScanKernel) -> bool {
-    match kernel {
-        ScanKernel::Auto => simd_available(),
-        ScanKernel::ScalarU64 => false,
-        ScanKernel::Simd => {
-            assert!(
-                simd_available(),
-                "ScanKernel::Simd requested but the host lacks AVX2; \
-                 check smt_sim::simd_available() first"
-            );
-            true
-        }
-    }
-}
-
-/// Below this many known timestamps in a word, the sparse scalar kernel
-/// is used even when SIMD is available. In isolation the AVX2 kernel
-/// already wins at ~10 set bits (16 quad-compares beat 10+
-/// bit-iterations), but issuing 256-bit ops on partially-loaded words
-/// measurably drags the *surrounding* scalar pipeline on the cloud hosts
-/// we benchmark on (AVX frequency licensing): end-to-end, a gate of 16
-/// lost ~8% matrix geomean to forced-scalar, while 32 — AVX2 only for
-/// words where it wins decisively — measures at parity or better.
-const SIMD_DENSITY: u32 = 32;
 
 /// Dead (tombstoned) slots the *legacy* engine tolerates before its
 /// `VecDeque` is compacted. The SoA engine instead compacts only when a
@@ -143,22 +60,8 @@ pub(crate) const COMPACT_DEAD: usize = 8;
 /// (slots are padded to whole words); lanes outside `known` may hold
 /// stale values and are masked out.
 #[inline]
-pub(crate) fn wait_mask(use_simd: bool, known: u64, ready_at: &[u64], now: u64) -> u64 {
+pub(crate) fn wait_mask(known: u64, ready_at: &[u64], now: u64) -> u64 {
     debug_assert!(ready_at.len() >= 64);
-    #[cfg(target_arch = "x86_64")]
-    if use_simd && known.count_ones() >= SIMD_DENSITY {
-        // Safety: `resolve_kernel` only hands out `use_simd` on hosts
-        // where AVX2 was detected.
-        return unsafe { wait_mask_avx2(known, ready_at, now) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_simd;
-    wait_mask_scalar(known, ready_at, now)
-}
-
-/// Sparse portable kernel: iterate the set bits of `known`.
-#[inline]
-fn wait_mask_scalar(known: u64, ready_at: &[u64], now: u64) -> u64 {
     let mut wait = 0u64;
     let mut bits = known;
     while bits != 0 {
@@ -167,28 +70,6 @@ fn wait_mask_scalar(known: u64, ready_at: &[u64], now: u64) -> u64 {
         wait |= u64::from(ready_at[b as usize] > now) << b;
     }
     wait
-}
-
-/// AVX2 kernel: sixteen 4-lane signed 64-bit compares cover the word.
-/// Timestamps are cycle counts (far below `2^63`), so the signed compare
-/// is exact; `u64::MAX` never appears in `ready_at`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn wait_mask_avx2(known: u64, ready_at: &[u64], now: u64) -> u64 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_set1_epi64x,
-    };
-    let nowv = _mm256_set1_epi64x(now as i64);
-    let base = ready_at.as_ptr();
-    let mut wait = 0u64;
-    for quad in 0..16 {
-        let ra = _mm256_loadu_si256(base.add(quad * 4) as *const __m256i);
-        let gt = _mm256_cmpgt_epi64(ra, nowv);
-        let m = _mm256_movemask_pd(_mm256_castsi256_pd(gt)) as u64;
-        wait |= m << (quad * 4);
-    }
-    wait & known
 }
 
 /// Keep only the lowest `n` set bits of `word` (the scan-depth trim: the
@@ -215,7 +96,7 @@ pub(crate) fn keep_lowest_set(word: u64, n: usize) -> u64 {
 /// `VecDeque` after its front-drain; `occ` makes tombstones free to skip
 /// and `unknown` separates the immutable-timestamp majority from the
 /// slots that still need dependence-ring lookups. Arrays are padded to
-/// whole 64-slot words so the SIMD kernel can load full lanes; `plen`
+/// whole 64-slot words so the word kernel can index every lane; `plen`
 /// tracks the used prefix.
 #[derive(Debug, Clone)]
 pub(crate) struct SoaQueue {
@@ -490,7 +371,7 @@ mod tests {
         }
         let known = 0xDEAD_BEEF_F00D_4242u64;
         for now in [0u64, 10, 50, 99, 1000] {
-            let scalar = wait_mask(false, known, &ready, now);
+            let wait = wait_mask(known, &ready, now);
             // Reference: per-lane check.
             let mut reference = 0u64;
             for (b, &r) in ready.iter().enumerate() {
@@ -498,11 +379,7 @@ mod tests {
                     reference |= 1 << b;
                 }
             }
-            assert_eq!(scalar, reference, "now={now}");
-            if simd_available() {
-                let simd = wait_mask(true, known, &ready, now);
-                assert_eq!(simd, reference, "simd now={now}");
-            }
+            assert_eq!(wait, reference, "now={now}");
         }
     }
 

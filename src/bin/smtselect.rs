@@ -1470,11 +1470,6 @@ fn main() {
                  --codec ndjson|binary|both  --op stream|place|both  --tiers MAX  --label L  \
                  --check FILE  --tolerance F  --out FILE  --shutdown"
             );
-            println!(
-                "env     : SMT_SIM_ENGINE=legacy|soa|soa-scalar|soa-simd  \
-                 (issue-engine override for every simulation; default soa with \
-                 runtime AVX2 detection)"
-            );
             println!("env     : autotune loop knobs (override AutotuneConfig defaults):");
             for (name, desc) in ENV_KNOBS {
                 println!("            {name:<28} {desc}");

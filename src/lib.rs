@@ -79,9 +79,8 @@ pub mod prelude {
         ScoreTrajectory, SizeTier, VerifyReport,
     };
     pub use smt_experiments::{
-        check_regression, run_perf, Engine, EngineMetrics, JobError, PerfEntry, PerfOptions,
-        PerfReport, PerfRun, ProgressEvent, ProgressSink, ProtocolConfig, ResultCache, RunPlan,
-        RunRequest, SweepResult,
+        Engine, EngineMetrics, JobError, ProgressEvent, ProgressSink, ProtocolConfig, ResultCache,
+        RunPlan, RunRequest, SweepResult,
     };
     pub use smt_sched::{
         compare, ipc_probe_run, oracle_sweep, placement_oracle, solo_signature, tune,
