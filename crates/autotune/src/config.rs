@@ -1,9 +1,5 @@
-//! Loop policy knobs and their environment overrides.
-//!
-//! Every field of [`AutotuneConfig`] has an `SMT_AUTOTUNE_*` environment
-//! override (see [`ENV_KNOBS`]) so deployments can retune the loop without
-//! recompiling. Overrides are parsed fallibly: a malformed value is a structured
-//! [`Error::Config`], never a panic or a silent default.
+//! Loop policy knobs. [`AutotuneConfig::validate`] rejects a knob set the
+//! loop cannot run with as a structured [`Error::Config`].
 
 use serde::{Deserialize, Serialize};
 use smt_sim::Error;
@@ -67,60 +63,6 @@ impl Default for AutotuneConfig {
     }
 }
 
-/// The `SMT_AUTOTUNE_*` environment overrides, as `(name, meaning)` pairs —
-/// the CLI prints this table from `--help` so the knobs stay documented in
-/// exactly one place.
-pub const ENV_KNOBS: &[(&str, &str)] = &[
-    ("SMT_AUTOTUNE_WINDOW", "sampling window in cycles (u64 > 0)"),
-    ("SMT_AUTOTUNE_ALPHA", "metric EWMA weight in (0,1]"),
-    (
-        "SMT_AUTOTUNE_HYSTERESIS",
-        "agreeing windows before a metric switch (u64 >= 1)",
-    ),
-    (
-        "SMT_AUTOTUNE_COOLDOWN",
-        "minimum windows between switches (u64)",
-    ),
-    (
-        "SMT_AUTOTUNE_WARMUP",
-        "top-level windows before the metric may switch (u64)",
-    ),
-    (
-        "SMT_AUTOTUNE_PROBE_INTERVAL",
-        "parked windows between top-level probes (u64 >= 1)",
-    ),
-    (
-        "SMT_AUTOTUNE_PHASE_DETECT",
-        "0/1: change-point detection on the factor vector",
-    ),
-    (
-        "SMT_AUTOTUNE_MEMORY",
-        "0/1: reuse learned levels for revisited phases",
-    ),
-];
-
-fn parse_u64(name: &str, s: &str) -> Result<u64, Error> {
-    s.trim()
-        .parse()
-        .map_err(|_| Error::Config(format!("{name}: expected an unsigned integer, got `{s}`")))
-}
-
-fn parse_f64(name: &str, s: &str) -> Result<f64, Error> {
-    s.trim()
-        .parse()
-        .map_err(|_| Error::Config(format!("{name}: expected a number, got `{s}`")))
-}
-
-fn parse_bool(name: &str, s: &str) -> Result<bool, Error> {
-    match s.trim() {
-        "0" | "false" | "off" => Ok(false),
-        "1" | "true" | "on" => Ok(true),
-        other => Err(Error::Config(format!(
-            "{name}: expected 0/1/true/false/on/off, got `{other}`"
-        ))),
-    }
-}
-
 impl AutotuneConfig {
     /// Check the invariants the loop relies on.
     pub fn validate(&self) -> Result<(), Error> {
@@ -143,37 +85,6 @@ impl AutotuneConfig {
             return Err(Error::Config("memory_capacity must be >= 1".into()));
         }
         Ok(())
-    }
-
-    /// Overlay any `SMT_AUTOTUNE_*` environment overrides onto `self` and
-    /// validate the result. Unset variables keep the current value.
-    pub fn from_env(mut self) -> Result<AutotuneConfig, Error> {
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_WINDOW") {
-            self.window_cycles = parse_u64("SMT_AUTOTUNE_WINDOW", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_ALPHA") {
-            self.alpha = parse_f64("SMT_AUTOTUNE_ALPHA", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_HYSTERESIS") {
-            self.hysteresis = parse_u64("SMT_AUTOTUNE_HYSTERESIS", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_COOLDOWN") {
-            self.cooldown = parse_u64("SMT_AUTOTUNE_COOLDOWN", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_WARMUP") {
-            self.warmup = parse_u64("SMT_AUTOTUNE_WARMUP", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_PROBE_INTERVAL") {
-            self.probe_interval = parse_u64("SMT_AUTOTUNE_PROBE_INTERVAL", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_PHASE_DETECT") {
-            self.phase_detect = parse_bool("SMT_AUTOTUNE_PHASE_DETECT", &s)?;
-        }
-        if let Ok(s) = std::env::var("SMT_AUTOTUNE_MEMORY") {
-            self.memory = parse_bool("SMT_AUTOTUNE_MEMORY", &s)?;
-        }
-        self.validate()?;
-        Ok(self)
     }
 }
 
@@ -203,23 +114,5 @@ mod tests {
             ..AutotuneConfig::default()
         };
         assert!(matches!(bad.validate(), Err(Error::Config(_))));
-    }
-
-    #[test]
-    fn knob_parsers_reject_garbage() {
-        assert!(parse_u64("K", "seven").is_err());
-        assert!(parse_f64("K", "fast").is_err());
-        assert!(parse_bool("K", "maybe").is_err());
-        assert!(parse_bool("K", "on").unwrap());
-        assert!(!parse_bool("K", "0").unwrap());
-        assert_eq!(parse_u64("K", " 42 ").unwrap(), 42);
-    }
-
-    #[test]
-    fn every_documented_knob_has_a_name() {
-        for (name, desc) in ENV_KNOBS {
-            assert!(name.starts_with("SMT_AUTOTUNE_"));
-            assert!(!desc.is_empty());
-        }
     }
 }

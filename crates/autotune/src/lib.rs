@@ -27,8 +27,8 @@
 //!   run recorded to a `.smtc` trace replays to a byte-identical decision
 //!   log on any host.
 //!
-//! Policy knobs live in [`AutotuneConfig`] and can be overridden per run
-//! through `SMT_AUTOTUNE_*` environment variables ([`ENV_KNOBS`]).
+//! Policy knobs live in [`AutotuneConfig`]; callers set them in code or,
+//! for the window length, through `smtselect autotune --window-cycles`.
 
 #![warn(missing_docs)]
 
@@ -40,7 +40,7 @@ pub mod runtime;
 
 pub use actuator::{Actuation, Actuator, Command, DecisionReason, DryRunActuator, SimActuator};
 pub use affinity::{AffinityActuator, AffinityReport};
-pub use config::{AutotuneConfig, ENV_KNOBS};
+pub use config::AutotuneConfig;
 pub use memory::{PhaseEntry, PhaseKey, PhaseMemory};
 pub use runtime::{
     AutotuneDecision, AutotuneLoop, AutotuneReport, AutotuneSimReport, DecisionRecord,

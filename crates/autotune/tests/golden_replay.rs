@@ -39,8 +39,8 @@ fn golden_dir() -> PathBuf {
 }
 
 fn config() -> AutotuneConfig {
-    // Deliberately NOT `from_env()`: the golden run must be immune to
-    // whatever SMT_AUTOTUNE_* knobs happen to be exported.
+    // The pinned constants above are the whole configuration: the golden
+    // run reads no environment and no flags.
     AutotuneConfig {
         window_cycles: WINDOW_CYCLES,
         ..AutotuneConfig::default()

@@ -47,8 +47,8 @@ pub use manifest::{
     VerifyOutcome, VerifyReport, DEFAULT_MANIFEST, MANIFEST_VERSION,
 };
 pub use replay::{
-    corpus_files, machine_for_tag, replay_dir, replay_trace, selector_for_machine, CorpusReport,
-    ReplayPolicy, TraceReplay, TRACE_EXT,
+    corpus_files, replay_dir, replay_trace, selector_for_machine, CorpusReport, ReplayPolicy,
+    TraceReplay, TRACE_EXT,
 };
 pub use report::{check_regression, pct, render_markdown, ScoreTrajectory, TrajectoryPoint};
 pub use score::{

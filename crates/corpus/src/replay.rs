@@ -123,19 +123,6 @@ pub struct CorpusReport {
     pub failures: Vec<(String, String)>,
 }
 
-/// Map a trace header's machine tag onto a machine configuration. The
-/// tags mirror the `smtd` session machines.
-pub fn machine_for_tag(tag: &str) -> Result<MachineConfig, Error> {
-    match tag {
-        "p7" => Ok(MachineConfig::power7(1)),
-        "p7x2" => Ok(MachineConfig::power7(2)),
-        "nhm" => Ok(MachineConfig::nehalem()),
-        other => Err(Error::InvalidMachine(format!(
-            "trace machine tag {other:?} (expected p7, p7x2, or nhm)"
-        ))),
-    }
-}
-
 /// Build the level selector a machine scores under — the same shape the
 /// `smtd` session builds, so replay answers and daemon answers come from
 /// identical decision cores.
@@ -164,7 +151,7 @@ pub fn selector_for_machine(
 /// Replay one trace through a fresh controller under `policy`.
 pub fn replay_trace(path: &Path, policy: &ReplayPolicy) -> Result<TraceReplay, Error> {
     let mut reader = TraceReader::open(path)?;
-    let machine = machine_for_tag(&reader.meta().machine)?;
+    let machine = MachineConfig::by_name(&reader.meta().machine)?;
     let spec = MetricSpec::for_arch(&machine.arch);
     let selector = selector_for_machine(&machine, policy)?;
     let mut ctl = DynamicSmtController::new(selector, spec, policy.controller);
@@ -358,20 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_machine_tag_is_rejected() {
-        assert!(machine_for_tag("vax").is_err());
-        assert!(machine_for_tag("p7").is_ok());
-        assert!(machine_for_tag("p7x2").is_ok());
-        assert!(machine_for_tag("nhm").is_ok());
-    }
-
-    #[test]
     fn two_level_machines_get_two_level_selectors() -> Result<(), Error> {
-        let nhm = machine_for_tag("nhm")?;
+        let nhm = MachineConfig::by_name("nhm")?;
         let sel = selector_for_machine(&nhm, &ReplayPolicy::default())?;
         assert_eq!(sel.rungs.len(), 1);
         assert_eq!(sel.rungs[0].0, SmtLevel::Smt2);
-        let p7 = machine_for_tag("p7")?;
+        let p7 = MachineConfig::by_name("p7")?;
         let sel = selector_for_machine(&p7, &ReplayPolicy::default())?;
         assert_eq!(sel.rungs.len(), 2);
         assert_eq!(sel.rungs[0].0, SmtLevel::Smt4);

@@ -192,13 +192,12 @@ pub fn run(scale: f64, t_top: f64, t_mid: f64, max_cycles: u64) -> Result<Autotu
     let cfg = MachineConfig::power7(1);
     // Small windows relative to the scaled-down catalog sizes, so each
     // phase spans ~100 windows just as a production phase would span
-    // hundreds of full-size windows. Env knobs still override.
+    // hundreds of full-size windows.
     let tune = AutotuneConfig {
         window_cycles: 2_000,
         probe_interval: 40,
         ..AutotuneConfig::default()
-    }
-    .from_env()?;
+    };
     let naive = AutotuneConfig {
         hysteresis: 1,
         cooldown: 0,

@@ -1,41 +1,36 @@
-//! Calibration scratch tool: run the POWER7 suite and dump speedups vs
+//! Calibration scratch tool: run a machine's suite and dump speedups vs
 //! metric values so simulator/catalog parameters can be tuned.
 
+use std::process::ExitCode;
+
+use smt_experiments::cli::{self, positional, Flags};
 use smt_experiments::{Engine, RunRequest};
 use smt_sim::{Error, MachineConfig, SmtLevel};
 use smt_workloads::catalog;
 
-fn main() {
-    if let Err(e) = run() {
-        eprintln!("calibrate: {e}");
-        std::process::exit(1);
-    }
+const USAGE: &str = "\
+usage: calibrate [SCALE] [p7|p7x2|nhm]
+  Run the machine's whole suite (default p7) at every SMT level with
+  catalog sizes scaled by SCALE (default 0.25) and print speedups vs
+  metric values.
+";
+
+fn main() -> ExitCode {
+    cli::main("calibrate", USAGE, run)
 }
 
-fn run() -> Result<(), Error> {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let machine = std::env::args().nth(2).unwrap_or_else(|| "p7".into());
-    let (cfg, suite, levels): (_, _, Vec<SmtLevel>) = match machine.as_str() {
-        "nhm" => (
-            MachineConfig::nehalem(),
-            catalog::nehalem_suite(),
-            vec![SmtLevel::Smt1, SmtLevel::Smt2],
-        ),
-        "p7x2" => (
-            MachineConfig::power7(2),
-            catalog::power7_suite(),
-            vec![SmtLevel::Smt1, SmtLevel::Smt2, SmtLevel::Smt4],
-        ),
-        _ => (
-            MachineConfig::power7(1),
-            catalog::power7_suite(),
-            vec![SmtLevel::Smt1, SmtLevel::Smt2, SmtLevel::Smt4],
-        ),
+fn run(args: Vec<String>) -> Result<(), Error> {
+    let args = Flags::new(args).finish()?;
+    let scale: f64 = positional(&args, 0, "scale", 0.25)?;
+    let machine: String = positional(&args, 1, "machine", "p7".into())?;
+    let cfg = MachineConfig::by_name(&machine)?;
+    let suite = if machine == "nhm" {
+        catalog::nehalem_suite()
+    } else {
+        catalog::power7_suite()
     };
-    let top = *levels.last().unwrap_or(&SmtLevel::Smt1);
+    let levels = cfg.smt_levels();
+    let top = cfg.arch.max_smt;
     let plan = RunRequest::on(cfg)
         .workloads(suite.into_iter().map(|s| s.scaled(scale)))
         .levels(levels)

@@ -1,21 +1,31 @@
 //! Deep-dive tool: run one catalog benchmark at each SMT level and print
 //! pipeline utilization details for simulator calibration.
 
-use smt_sim::Workload;
-use smt_sim::{MachineConfig, Simulation, SmtLevel};
+use std::process::ExitCode;
+
+use smt_experiments::cli::{self, positional, Flags};
+use smt_sim::{Error, MachineConfig, Simulation, SmtLevel, Workload};
 use smt_workloads::{catalog, SyntheticWorkload};
 use smtsm::{smtsm_factors, MetricSpec};
 
-fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "EP".into());
-    let scale: f64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.3);
+const USAGE: &str = "\
+usage: inspect [BENCHMARK] [SCALE]
+  Run one POWER7-suite benchmark (default EP) at each SMT level with its
+  work scaled by SCALE (default 0.3) and print pipeline utilization.
+";
+
+fn main() -> ExitCode {
+    cli::main("inspect", USAGE, run)
+}
+
+fn run(args: Vec<String>) -> Result<(), Error> {
+    let args = Flags::new(args).finish()?;
+    let name: String = positional(&args, 0, "benchmark", "EP".into())?;
+    let scale: f64 = positional(&args, 1, "scale", 0.3)?;
     let spec = catalog::power7_suite()
         .into_iter()
         .find(|s| s.name.eq_ignore_ascii_case(&name))
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+        .ok_or_else(|| Error::InvalidWorkload(format!("unknown benchmark {name:?}")))?
         .scaled(scale);
     let cfg = MachineConfig::power7(1);
     let mspec = MetricSpec::for_arch(&cfg.arch);
@@ -63,4 +73,5 @@ fn main() {
             cf[0], cf[1], cf[2], cf[3], cf[4], cf[5]
         );
     }
+    Ok(())
 }

@@ -1,43 +1,24 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! repro <artifact> [--scale S] [--json DIR] [--csv DIR]
-//!      [--no-cache] [--cache-dir DIR] [--serial] [--verbose]
-//!
-//! artifacts:
-//!   table1                      Table I (benchmark inventory)
-//!   fig1 fig2 fig6 fig7 fig8 fig9 fig16 fig17   single-chip POWER7-like
-//!   fig10 fig12                 Nehalem-like
-//!   fig11                       single-chip, metric measured at SMT1
-//!   fig13 fig14 fig15           two-chip POWER7-like (NUMA)
-//!   success                     93%/86%/90% success-rate summary
-//!   ablation                    Eq.-1 factor study (single-chip data)
-//!   validate                    seed-robustness replicas (not in `all`)
-//!   sched                       Section-V dynamic-selection demo
-//!   autotune                    closed-loop stability-vs-regret study (not in `all`)
-//!   perf                        simulator phase profiler (not in `all`)
-//!   score                       corpus accuracy scorer (not in `all`)
-//!   all                         everything above
-//! ```
+//! [`USAGE`] (printed by `--help`) lists the artifacts and flags.
 //!
 //! `repro perf` self-profiles a fixed simulator matrix, prints per-phase
 //! shares, and writes `results/perf/profile-<label>.json` plus a
-//! flamegraph-ready `flamegraph-<label>.folded`. Extra flags: `--quick`
-//! (smaller windows, for CI) and `--label NAME` (run label, default
-//! `local`, or `quick` under `--quick`). End-to-end simulator speed is
-//! measured by the repository benchmark (`BENCHMARK.json`).
+//! flamegraph-ready `flamegraph-<label>.folded`. `--quick` uses smaller
+//! windows (for CI); `--label` names the run (default `local`, or `quick`
+//! under `--quick`). End-to-end simulator speed is measured by the
+//! repository benchmark (`BENCHMARK.json`).
 //!
 //! `repro score` replays the committed benchmark corpus
 //! (`results/corpus/manifest.json`) through the decision core and scores
 //! the predictions against the manifest's simulate-every-level oracle
 //! labels — the paper's 93%/86%/~90% headline as a regression-gated
-//! number. Flags: `--manifest FILE`, `--tier s|m|l`, `--resume` (pick up
-//! an interrupted run from the journal), `--limit N` (stop after N new
-//! entries), `--label NAME` (record the run in the committed trajectory),
-//! `--out DIR` (write `score.json` / `REPORT.md` / `trajectory.json`,
-//! default `results/score`), `--no-out` (score without writing),
-//! `--check FILE` (exit non-zero if accuracy fell more than `--tolerance`
-//! points below the baseline, default 2.0, or below the 85% floor).
+//! number. `--resume` picks up an interrupted run from the journal,
+//! `--limit N` stops after N new entries, `--label` records the run in
+//! the committed trajectory, `--out DIR` (default `results/score`) takes
+//! `score.json` / `REPORT.md` / `trajectory.json` and `--no-out` skips
+//! writing; `--check FILE` fails if accuracy fell more than `--tolerance`
+//! points (default 2.0) below the baseline, or below the 85% floor.
 //!
 //! `--scale` scales every workload's total work (default 0.3; 1.0 matches
 //! the catalog's full sizes and takes several minutes per machine on one
@@ -48,130 +29,73 @@
 //! `--no-cache`): the second run of the same artifact set reloads every
 //! unchanged job from disk instead of re-simulating it.
 
+use smt_experiments::cli::{self, Flags};
 use smt_experiments::figures;
 use smt_experiments::sched_demo;
+use smt_experiments::score::{self, ScoreCmd, ScoreOutcome};
 use smt_experiments::suite::{Machine, SuiteData};
 use smt_experiments::{Engine, ProgressSink, ResultCache, StderrSink};
 use smt_sim::Error;
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-struct Args {
-    artifact: String,
-    scale: f64,
-    json_dir: Option<String>,
-    csv_dir: Option<String>,
-    no_cache: bool,
-    cache_dir: Option<String>,
-    serial: bool,
-    verbose: bool,
-    quick: bool,
-    label: Option<String>,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: Option<f64>,
-    manifest: Option<String>,
-    resume: bool,
-    tier: Option<String>,
-    limit: Option<usize>,
-    no_out: bool,
-}
+const USAGE: &str = "\
+usage: repro [<artifact>] [--scale S] [--json DIR] [--csv DIR]
+             [--no-cache] [--cache-dir DIR] [--serial] [--verbose]
+       repro perf [--quick] [--label NAME]
+       repro score [--manifest FILE] [--tier s|m|l] [--resume] [--limit N]
+                   [--label NAME] [--out DIR | --no-out]
+                   [--check FILE] [--tolerance POINTS]
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        artifact: String::from("all"),
-        scale: 0.3,
-        json_dir: None,
-        csv_dir: None,
-        no_cache: false,
-        cache_dir: None,
-        serial: false,
-        verbose: false,
-        quick: false,
-        label: None,
-        out: None,
-        check: None,
-        tolerance: None,
-        manifest: None,
-        resume: false,
-        tier: None,
-        limit: None,
-        no_out: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale takes a number"));
-            }
-            "--json" => {
-                args.json_dir = Some(it.next().unwrap_or_else(|| die("--json takes a directory")));
-            }
-            "--csv" => {
-                args.csv_dir = Some(it.next().unwrap_or_else(|| die("--csv takes a directory")));
-            }
-            "--no-cache" => args.no_cache = true,
-            "--cache-dir" => {
-                args.cache_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--cache-dir takes a directory")),
-                );
-            }
-            "--serial" => args.serial = true,
-            "--verbose" => args.verbose = true,
-            "--quick" => args.quick = true,
-            "--label" => {
-                args.label = Some(it.next().unwrap_or_else(|| die("--label takes a name")));
-            }
-            "--out" => {
-                args.out = Some(it.next().unwrap_or_else(|| die("--out takes a directory")));
-            }
-            "--check" => {
-                args.check = Some(it.next().unwrap_or_else(|| die("--check takes a file")));
-            }
-            "--tolerance" => {
-                args.tolerance = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--tolerance takes a number")),
-                );
-            }
-            "--manifest" => {
-                args.manifest = Some(it.next().unwrap_or_else(|| die("--manifest takes a file")));
-            }
-            "--resume" => args.resume = true,
-            "--tier" => {
-                args.tier = Some(it.next().unwrap_or_else(|| die("--tier takes s|m|l")));
-            }
-            "--limit" => {
-                args.limit = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--limit takes a count")),
-                );
-            }
-            "--no-out" => args.no_out = true,
-            "-h" | "--help" => {
-                eprintln!(
-                    "usage: repro <artifact|all> [--scale S] [--json DIR] [--csv DIR] \
-                     [--no-cache] [--cache-dir DIR] [--serial] [--verbose]\n\
-                     artifacts: table1 fig1 fig2 fig6-17 success ablation placement sched \
-                     autotune validate perf score"
-                );
-                std::process::exit(0);
-            }
-            other => args.artifact = other.to_string(),
-        }
-    }
-    args
-}
+artifacts:
+  table1                      Table I (benchmark inventory)
+  fig1 fig2 fig6 fig7 fig8 fig9 fig16 fig17   single-chip POWER7-like
+  fig10 fig12                 Nehalem-like
+  fig11                       single-chip, metric measured at SMT1
+  fig13 fig14 fig15           two-chip POWER7-like (NUMA)
+  success                     93%/86%/90% success-rate summary
+  ablation                    Eq.-1 factor study (single-chip data)
+  placement                   placement-allocator regret study
+  validate                    seed-robustness replicas (not in `all`)
+  sched                       Section-V dynamic-selection demo
+  autotune                    closed-loop stability-vs-regret study (not in `all`)
+  perf                        simulator phase profiler (not in `all`)
+  score                       corpus accuracy scorer (not in `all`)
+  all                         everything not marked otherwise (the default)
+";
 
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2);
+/// Every artifact name `repro` accepts.
+const ARTIFACTS: &[&str] = &[
+    "all",
+    "table1",
+    "fig1",
+    "fig2",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "success",
+    "ablation",
+    "placement",
+    "validate",
+    "sched",
+    "autotune",
+    "perf",
+    "score",
+];
+
+fn main() -> ExitCode {
+    cli::main("repro", USAGE, run)
 }
 
 /// Progress sink printing only per-sweep summaries (the default; pass
@@ -236,27 +160,19 @@ fn dump_json<T: serde::Serialize>(
     Ok(())
 }
 
-fn main() {
-    let args = parse_args();
-    if let Err(e) = run(&args) {
-        eprintln!("repro: {e}");
-        std::process::exit(1);
-    }
-}
-
 /// `repro perf`: self-profile the simulator matrix, print the phase
 /// table, and write `results/perf/profile-<label>.json` plus a
 /// flamegraph-ready `flamegraph-<label>.folded` (feed it to any
 /// `flamegraph.pl`-compatible renderer).
-fn run_perf_cmd(args: &Args) -> Result<(), Error> {
+fn run_perf_cmd(quick: bool, label: Option<String>) -> Result<(), Error> {
     use smt_experiments::perf;
-    let mut opts = if args.quick {
+    let mut opts = if quick {
         perf::PerfOptions::quick()
     } else {
         perf::PerfOptions::full()
     };
-    if let Some(label) = &args.label {
-        opts = opts.label(label.clone());
+    if let Some(label) = label {
+        opts = opts.label(label);
     }
     eprintln!(
         "[repro] profiling simulator phases ({} cycles/window)...",
@@ -277,43 +193,37 @@ fn run_perf_cmd(args: &Args) -> Result<(), Error> {
     Ok(())
 }
 
-/// `repro score`: replay the committed corpus through the decision core,
-/// publish the `results/score/` artifacts, gate against the baseline.
-fn run_score_cmd(args: &Args) -> Result<(), Error> {
-    use smt_experiments::score::{self, ScoreCmd, ScoreOutcome};
+/// The `repro score` flags, read into a [`ScoreCmd`].
+fn score_cmd(f: &mut Flags, label: Option<String>) -> Result<ScoreCmd, Error> {
     let mut cmd = ScoreCmd {
-        resume: args.resume,
-        limit: args.limit,
-        label: args.label.clone(),
+        resume: f.switch("--resume"),
+        limit: f.value("--limit")?,
+        label,
+        check: f.value("--check")?,
         ..ScoreCmd::default()
     };
-    if let Some(m) = &args.manifest {
-        cmd.manifest = std::path::PathBuf::from(m);
+    cmd.manifest = f.get("--manifest", cmd.manifest)?;
+    if let Some(t) = f.value::<String>("--tier")? {
+        cmd.tier = Some(smt_corpus::SizeTier::from_name(&t)?);
     }
-    if let Some(t) = &args.tier {
-        cmd.tier = Some(
-            smt_corpus::SizeTier::from_name(t)
-                .unwrap_or_else(|_| die(&format!("unknown --tier {t:?} (want s|m|l)"))),
-        );
+    let out = f.get("--out", PathBuf::from("results/score"))?;
+    if !f.switch("--no-out") {
+        cmd.out_dir = Some(out);
     }
-    if !args.no_out {
-        cmd.out_dir = Some(std::path::PathBuf::from(
-            args.out
-                .clone()
-                .unwrap_or_else(|| "results/score".to_string()),
-        ));
-    }
-    cmd.check = args.check.clone().map(std::path::PathBuf::from);
-    if let Some(t) = args.tolerance {
-        cmd.tolerance_points = t;
-    }
+    cmd.tolerance_points = f.get("--tolerance", cmd.tolerance_points)?;
+    Ok(cmd)
+}
+
+/// `repro score`: replay the committed corpus through the decision core,
+/// publish the `results/score/` artifacts, gate against the baseline.
+fn run_score_cmd(cmd: &ScoreCmd) -> Result<(), Error> {
     eprintln!(
         "[repro] scoring corpus {} (journal {}{})...",
         cmd.manifest.display(),
         cmd.journal.display(),
         if cmd.resume { ", resuming" } else { "" }
     );
-    match score::run_score(&cmd)? {
+    match score::run_score(cmd)? {
         ScoreOutcome::Partial { done, remaining } => {
             eprintln!(
                 "[repro] partial run: {done} entr{} journaled, {remaining} remaining — \
@@ -349,48 +259,67 @@ fn run_score_cmd(args: &Args) -> Result<(), Error> {
     Ok(())
 }
 
-fn run(args: &Args) -> Result<(), Error> {
-    if args.artifact == "perf" {
-        return run_perf_cmd(args);
+fn run(args: Vec<String>) -> Result<(), Error> {
+    let mut f = Flags::new(args);
+    let scale = f.get("--scale", 0.3)?;
+    let json_dir = f.value::<String>("--json")?;
+    let csv_dir = f.value::<String>("--csv")?;
+    let no_cache = f.switch("--no-cache");
+    let cache_dir = f.value::<PathBuf>("--cache-dir")?;
+    let serial = f.switch("--serial");
+    let verbose = f.switch("--verbose");
+    let quick = f.switch("--quick");
+    let label = f.value::<String>("--label")?;
+    let score = score_cmd(&mut f, label.clone())?;
+    let artifact = match f.finish()?.as_slice() {
+        [] => "all".to_string(),
+        [one] if ARTIFACTS.contains(&one.as_str()) => one.clone(),
+        [other] => {
+            return Err(Error::Config(format!(
+                "unknown artifact {other:?}; try --help"
+            )))
+        }
+        many => {
+            return Err(Error::Config(format!(
+                "one artifact at a time, got {}",
+                many.join(" ")
+            )))
+        }
+    };
+    if artifact == "perf" {
+        return run_perf_cmd(quick, label);
     }
-    if args.artifact == "score" {
-        return run_score_cmd(args);
+    if artifact == "score" {
+        return run_score_cmd(&score);
     }
-    let sink: Arc<dyn ProgressSink> = if args.verbose {
+    let sink: Arc<dyn ProgressSink> = if verbose {
         Arc::new(StderrSink)
     } else {
         Arc::new(SummarySink)
     };
-    let mut engine = Engine::new().progress(sink).serial(args.serial);
-    if !args.no_cache {
-        let dir = args
-            .cache_dir
-            .clone()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(ResultCache::default_dir);
+    let mut engine = Engine::new().progress(sink).serial(serial);
+    if !no_cache {
+        let dir = cache_dir.unwrap_or_else(ResultCache::default_dir);
         eprintln!("[repro] result cache at {}", dir.display());
         engine = engine.with_cache(ResultCache::new(dir));
     }
     let mut data = Data {
-        scale: args.scale,
+        scale,
         engine,
         cache: HashMap::new(),
     };
-    let wanted = |name: &str| args.artifact == "all" || args.artifact == name;
-    let mut emitted = false;
+    let wanted = |name: &str| artifact == "all" || artifact == name;
     let t_run = std::time::Instant::now();
 
     if wanted("table1") {
         let t = figures::table1();
         println!("Table I: Benchmarks Evaluated\n\n{}", t.render());
-        dump_csv(&args.csv_dir, "table1", &t.to_csv())?;
-        emitted = true;
+        dump_csv(&csv_dir, "table1", &t.to_csv())?;
     }
     if wanted("fig1") {
         let f = figures::fig1(data.get(Machine::Power7OneChip)?)?;
         println!("{}", f.render());
-        dump_json(&args.json_dir, "fig1", &f)?;
-        emitted = true;
+        dump_json(&json_dir, "fig1", &f)?;
     }
     if wanted("fig2") {
         let f = figures::fig2(data.get(Machine::Power7OneChip)?)?;
@@ -399,14 +328,12 @@ fn run(args: &Args) -> Result<(), Error> {
             "max |pearson r| across panels = {:.3} (paper: no usable correlation)\n",
             f.max_abs_correlation()
         );
-        dump_json(&args.json_dir, "fig2", &f)?;
-        emitted = true;
+        dump_json(&json_dir, "fig2", &f)?;
     }
     if wanted("fig7") {
         let f = figures::fig7(data.get(Machine::Power7OneChip)?)?;
         println!("{}", f.render());
-        dump_json(&args.json_dir, "fig7", &f)?;
-        emitted = true;
+        dump_json(&json_dir, "fig7", &f)?;
     }
     type ScatterGen = fn(&SuiteData) -> Result<smt_experiments::ScatterFigure, Error>;
     for (name, gen, machine) in [
@@ -439,32 +366,28 @@ fn run(args: &Args) -> Result<(), Error> {
         if wanted(name) {
             let f = gen(data.get(machine)?)?;
             println!("{}", f.render());
-            dump_json(&args.json_dir, name, &f)?;
-            dump_csv(&args.csv_dir, name, &f.to_csv())?;
-            emitted = true;
+            dump_json(&json_dir, name, &f)?;
+            dump_csv(&csv_dir, name, &f.to_csv())?;
         }
     }
     if wanted("fig16") {
         let f6 = figures::fig6(data.get(Machine::Power7OneChip)?)?;
         let f = figures::fig16(&f6);
         println!("{}", f.render());
-        dump_json(&args.json_dir, "fig16", &f)?;
-        emitted = true;
+        dump_json(&json_dir, "fig16", &f)?;
     }
     if wanted("fig17") {
         let f6 = figures::fig6(data.get(Machine::Power7OneChip)?)?;
         let f = figures::fig17(&f6);
         println!("{}", f.render());
-        dump_json(&args.json_dir, "fig17", &f)?;
-        emitted = true;
+        dump_json(&json_dir, "fig17", &f)?;
     }
     if wanted("success") {
         let f6 = figures::fig6(data.get(Machine::Power7OneChip)?)?;
         let f10 = figures::fig10(data.get(Machine::Nehalem)?)?;
         let s = figures::success_rates(&f6, &f10);
         println!("{}", s.render());
-        dump_json(&args.json_dir, "success", &s)?;
-        emitted = true;
+        dump_json(&json_dir, "success", &s)?;
     }
     if wanted("ablation") {
         let p7 = data.get(Machine::Power7OneChip)?;
@@ -475,21 +398,18 @@ fn run(args: &Args) -> Result<(), Error> {
             smt_sim::SmtLevel::Smt1,
         )?;
         println!("{}", a.render());
-        dump_json(&args.json_dir, "ablation", &a)?;
-        emitted = true;
+        dump_json(&json_dir, "ablation", &a)?;
     }
     if wanted("placement") {
         let p = smt_experiments::placement::run()?;
         println!("{}", p.render());
-        dump_json(&args.json_dir, "placement", &p)?;
-        emitted = true;
+        dump_json(&json_dir, "placement", &p)?;
     }
-    if args.artifact == "validate" {
+    if artifact == "validate" {
         // Not part of "all" (it re-collects the suite several times).
         let v = smt_experiments::validation::run_with(3, data.scale, &data.engine)?;
         println!("{}", v.render());
-        dump_json(&args.json_dir, "validate", &v)?;
-        emitted = true;
+        dump_json(&json_dir, "validate", &v)?;
     }
     if wanted("sched") {
         // Train the selector thresholds from the single-chip data.
@@ -502,10 +422,9 @@ fn run(args: &Args) -> Result<(), Error> {
         eprintln!("[repro] sched: trained thresholds top={t_top:.4} mid={t_mid:.4}");
         let demo = sched_demo::run(data.scale.min(0.2), t_top, t_mid, 2_000_000_000)?;
         println!("{}", demo.render());
-        dump_json(&args.json_dir, "sched", &demo)?;
-        emitted = true;
+        dump_json(&json_dir, "sched", &demo)?;
     }
-    if args.artifact == "autotune" {
+    if artifact == "autotune" {
         // Not part of "all" (runs every scenario at every static level
         // plus the per-phase oracle sweep on top of the closed loop).
         let (t_top, t_mid) = {
@@ -520,19 +439,14 @@ fn run(args: &Args) -> Result<(), Error> {
         let study =
             smt_experiments::autotune::run(data.scale.max(0.5), t_top, t_mid, 4_000_000_000)?;
         println!("{}", study.render());
-        dump_json(&args.json_dir, "autotune", &study)?;
+        dump_json(&json_dir, "autotune", &study)?;
         let dir = std::path::Path::new("results/autotune");
         std::fs::create_dir_all(dir)?;
         let body = serde_json::to_string_pretty(&study).map_err(|e| Error::Serde(e.to_string()))?;
         std::fs::write(dir.join("study.json"), body)?;
         eprintln!("[repro] wrote results/autotune/study.json");
-        emitted = true;
     }
 
-    if !emitted {
-        eprintln!("unknown artifact {:?}; try --help", args.artifact);
-        std::process::exit(1);
-    }
     eprintln!("[repro] total wall time {:?}", t_run.elapsed());
     Ok(())
 }

@@ -24,6 +24,8 @@
 //! - [`perf`] — the simulator self-profiler behind `repro perf`.
 //! - [`score`] — `repro score`: the canonical-corpus accuracy scorer and
 //!   its committed `results/score/` artifacts and regression gate.
+//! - [`cli`] — the strict flag reader and exit-code mapping every binary
+//!   shares.
 //!
 //! The `repro` binary drives everything:
 //! `cargo run --release -p smt-experiments --bin repro -- all --scale 0.3`.
@@ -33,6 +35,7 @@
 pub mod ablation;
 pub mod autotune;
 pub mod cache;
+pub mod cli;
 pub mod engine;
 pub mod figures;
 pub mod perf;

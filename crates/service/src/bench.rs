@@ -24,13 +24,12 @@ use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use smt_sim::{Error, Simulation, SmtLevel, WindowMeasurement};
+use smt_sim::{Error, MachineConfig, Simulation, SmtLevel, WindowMeasurement};
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 
 use crate::client::Client;
 use crate::codec::codec_for;
 use crate::protocol::{CodecKind, Request, Response, SessionSpec};
-use crate::session::machine_by_name;
 
 /// Which request verb a tier exercises.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -326,7 +325,8 @@ fn window_pool(widx: usize) -> &'static [WindowMeasurement] {
         let spec = SessionSpec::power7();
         (0..WORKLOAD_ROTATION)
             .map(|w| {
-                let machine = machine_by_name(&spec.machine).expect("bench session machine exists");
+                let machine =
+                    MachineConfig::by_name(&spec.machine).expect("bench session machine exists");
                 let mut sim = Simulation::new(
                     machine,
                     SmtLevel::Smt4,

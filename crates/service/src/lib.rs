@@ -62,4 +62,4 @@ pub use protocol::{
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{spawn, spawn_with_sink, CodecPolicy, MetricsView, ServerConfig, ServerHandle};
-pub use session::{machine_by_name, PlaceError, Session};
+pub use session::{PlaceError, Session};

@@ -131,11 +131,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Also listen on this Unix socket path (removed and re-created).
     pub unix_path: Option<PathBuf>,
-    /// Legacy knob from the worker-pool server; used as the shard-count
-    /// default (capped at 8) when [`ServerConfig::shards`] is 0.
-    pub workers: usize,
-    /// Reactor shards (threads owning sessions). 0 = derive from
-    /// `workers`.
+    /// Reactor shards (threads owning sessions). 0 = one per available
+    /// core, at most 8.
     pub shards: usize,
     /// Admitted-connection ceiling; beyond it new connections are shed
     /// with a `busy` error at accept time.
@@ -156,7 +153,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             unix_path: None,
-            workers: 8,
             shards: 0,
             max_sessions: 1024,
             read_timeout: Duration::from_secs(30),
@@ -184,7 +180,7 @@ impl ServerConfig {
         self
     }
 
-    /// Set the reactor shard count (0 = derive from `workers`).
+    /// Set the reactor shard count (0 = one per available core, at most 8).
     pub fn shards(mut self, n: usize) -> ServerConfig {
         self.shards = n;
         self
@@ -221,17 +217,16 @@ impl ServerConfig {
     }
 
     /// The shard count this config resolves to: an explicit `shards`
-    /// wins; otherwise `workers` capped by available cores (shards spin
-    /// on CPU-bound decode/dispatch, so overshooting the core count only
-    /// buys context switches) and by 8.
+    /// wins; otherwise the available cores (shards spin on CPU-bound
+    /// decode/dispatch, so overshooting the core count only buys context
+    /// switches), capped at 8.
     pub fn shard_count(&self) -> usize {
         if self.shards > 0 {
             self.shards
         } else {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            self.workers.clamp(1, cores.min(8))
+            std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(8)
         }
     }
 }

@@ -78,7 +78,7 @@ pub struct Session {
 impl Session {
     /// Validate a client's `hello` parameters and build the session.
     pub fn new(id: u64, spec: &SessionSpec) -> Result<Session, Error> {
-        let machine = machine_by_name(&spec.machine)?;
+        let machine = MachineConfig::by_name(&spec.machine)?;
         machine.validate()?;
         if !(spec.alpha > 0.0 && spec.alpha <= 1.0) {
             return Err(Error::InvalidMeasurement(format!(
@@ -293,18 +293,6 @@ impl Session {
     }
 }
 
-/// Resolve a protocol machine name to a machine model.
-pub fn machine_by_name(name: &str) -> Result<MachineConfig, Error> {
-    match name {
-        "p7" => Ok(MachineConfig::power7(1)),
-        "p7x2" => Ok(MachineConfig::power7(2)),
-        "nhm" => Ok(MachineConfig::nehalem()),
-        other => Err(Error::InvalidMachine(format!(
-            "unknown machine {other:?} (expected p7, p7x2, or nhm)"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +382,7 @@ mod tests {
         // the simulation — the closed loop a real client would run.
         let spec = SessionSpec::power7();
         let mut session = Session::new(1, &spec).unwrap();
-        let machine = machine_by_name(&spec.machine).unwrap();
+        let machine = MachineConfig::by_name(&spec.machine).unwrap();
         let mut sim = Simulation::new(
             machine,
             SmtLevel::Smt4,

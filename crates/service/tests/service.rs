@@ -65,7 +65,6 @@ fn workload(i: usize) -> WorkloadSpec {
 #[test]
 fn eight_concurrent_sessions_match_the_offline_controller_on_both_codecs() {
     let handle = test_server(ServerConfig {
-        workers: 12,
         max_sessions: 32,
         ..ServerConfig::default()
     });
@@ -165,7 +164,6 @@ fn eight_concurrent_sessions_match_the_offline_controller_on_both_codecs() {
 #[test]
 fn garbage_and_panicking_clients_leave_other_sessions_intact() {
     let handle = test_server(ServerConfig {
-        workers: 8,
         max_sessions: 16,
         enable_debug: true,
         ..ServerConfig::default()
@@ -268,7 +266,7 @@ fn garbage_and_panicking_clients_leave_other_sessions_intact() {
 #[test]
 fn overload_is_shed_with_a_busy_error() {
     let handle = test_server(ServerConfig {
-        workers: 1,
+        shards: 1,
         max_sessions: 1,
         ..ServerConfig::default()
     });
@@ -433,7 +431,6 @@ fn committed_serving_baseline_is_loadable() {
 #[test]
 fn bench_harness_round_trips_against_a_live_server() {
     let handle = test_server(ServerConfig {
-        workers: 4,
         max_sessions: 16,
         ..ServerConfig::default()
     });

@@ -158,6 +158,20 @@ impl MachineConfig {
         }
     }
 
+    /// Resolve a machine name (`p7`, `p7x2`, `nhm`) to its model: the one
+    /// table behind the CLI's `--machine`, `smtd` sessions and the machine
+    /// tags in recorded traces.
+    pub fn by_name(name: &str) -> Result<MachineConfig, Error> {
+        match name {
+            "p7" => Ok(MachineConfig::power7(1)),
+            "p7x2" => Ok(MachineConfig::power7(2)),
+            "nhm" => Ok(MachineConfig::nehalem()),
+            other => Err(Error::InvalidMachine(format!(
+                "unknown machine {other:?} (expected p7, p7x2, or nhm)"
+            ))),
+        }
+    }
+
     /// Total cores on the machine.
     pub fn total_cores(&self) -> usize {
         self.chips * self.cores_per_chip
@@ -712,6 +726,18 @@ mod tests {
         MachineConfig::power7(2).validate().unwrap();
         MachineConfig::nehalem().validate().unwrap();
         MachineConfig::generic(2).validate().unwrap();
+    }
+
+    #[test]
+    fn by_name_resolves_exactly_the_named_machines() -> Result<(), Error> {
+        assert_eq!(MachineConfig::by_name("p7")?.total_cores(), 8);
+        assert_eq!(MachineConfig::by_name("p7x2")?.total_cores(), 16);
+        assert_eq!(MachineConfig::by_name("nhm")?.arch.max_smt, SmtLevel::Smt2);
+        assert!(matches!(
+            MachineConfig::by_name("vax"),
+            Err(Error::InvalidMachine(_))
+        ));
+        Ok(())
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //!   sharing one machine, as in the symbiotic-scheduling related work).
 //! - [`placed`] — single-threaded jobs pinned to explicit (core, SMT
 //!   context) slots, the simulator-side half of the placement allocator.
-//! - [`trace`] — trace capture & replay (trace-driven simulation: identical
-//!   instruction streams across machine configurations).
 
 #![warn(missing_docs)]
 
@@ -30,11 +28,9 @@ pub mod multi;
 pub mod phases;
 pub mod placed;
 pub mod spec;
-pub mod trace;
 
 pub use gen::SyntheticWorkload;
 pub use multi::MultiWorkload;
 pub use phases::PhasedWorkload;
 pub use placed::PlacedWorkload;
 pub use spec::{AccessPattern, DepProfile, InstrMix, MemBehavior, SyncSpec, WorkloadSpec};
-pub use trace::{capture, Trace, TraceEvent, TraceWorkload};

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use smt_autotune::{
         Actuation, Actuator, AffinityActuator, AffinityReport, AutotuneConfig, AutotuneDecision,
         AutotuneLoop, AutotuneReport, AutotuneSimReport, Command, DecisionReason, DecisionRecord,
-        DryRunActuator, PhaseEntry, PhaseKey, PhaseMemory, SimActuator, ENV_KNOBS,
+        DryRunActuator, PhaseEntry, PhaseKey, PhaseMemory, SimActuator,
     };
     pub use smt_collect::{
         CapabilityReport, CollectReport, Collector, CounterBackend, EventMap, PerfBackend,
