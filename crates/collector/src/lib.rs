@@ -1,8 +1,9 @@
 //! `smt-collect`: counter acquisition for the SMT-selection metric.
 //!
 //! Every other layer of this workspace — the batch engine, the fast
-//! simulator, the `smtd` daemon — consumes [`WindowMeasurement`] counter
-//! windows. This crate is where those windows *come from*. The paper
+//! simulator, the `smtd` daemon — consumes
+//! [`WindowMeasurement`](smt_sim::WindowMeasurement) counter windows. This
+//! crate is where those windows *come from*. The paper
 //! computes SMTsm from live PMU counters on POWER7 and Nehalem; reproducing
 //! that fidelity means owning event selection, multiplex scaling, and
 //! per-thread attribution, not just the arithmetic downstream of them.

@@ -29,11 +29,11 @@
 //!   readiness primitive the server is built on.
 //! - [`metrics`] — per-shard operational registries behind the `stats`
 //!   verb (sessions, requests, p50/p99 service time, recommendations by
-//!   level), merged on read, plus the [`ServiceSink`](metrics::ServiceSink)
+//!   level), merged on read, plus the [`ServiceSink`]
 //!   observer hook.
 //! - [`client`] — a blocking typed client speaking either codec, with a
 //!   raw-line escape hatch for fault-injection tests.
-//! - [`bench`] — the `bench-serve` load generator: doubling connection
+//! - [`bench`](mod@bench) — the `bench-serve` load generator: doubling connection
 //!   tiers per codec, first-class p50/p99 milliseconds, and the
 //!   `BENCH_serve.json` trajectory (`ServeReport`) CI gates on.
 

@@ -30,9 +30,13 @@
 //! The issue stage has two interchangeable engines (see [`IssueEngine`]):
 //! the original per-entry `VecDeque` walk, and the default struct-of-arrays
 //! bitset engine from [`crate::soa`], whose ready scan is word-parallel
-//! mask arithmetic. Both share the same slow path ([`Core::try_issue`]) and
+//! mask arithmetic. Both share the same slow path (`Core::try_issue`) and
 //! inspect candidates in the same age order, so they are bit-identical —
-//! the property the differential suite proves per configuration.
+//! the property the differential suite proves per configuration. The SoA
+//! engine also decides an entry's readiness at the two events that can
+//! change it, its dispatch and its producer's issue, and parks entries
+//! whose producer has not issued on exact per-thread wait lists, so its
+//! scan visits only entries that can issue, park or memoize.
 
 use crate::arch::{ArchDescriptor, Partitioning};
 use crate::branch::BranchPredictor;
@@ -49,7 +53,7 @@ pub const MAX_WAYS: usize = 4;
 
 /// Completion-ring size. Ring-aliasing safety requires the per-thread
 /// in-flight window (`rob_window`) to stay at most `RING - DEP_WINDOW`.
-const RING: usize = 256;
+pub(crate) const RING: usize = 256;
 
 /// Words in the unissued-sequence bitmap covering the completion ring.
 const RING_WORDS: usize = RING / 64;
@@ -87,27 +91,8 @@ enum CtxState {
     Finished,
 }
 
-/// One registered producer wakeup: when the producer issues, clear the
-/// blocked bit of `slot` in queue `qi` — provided the queue's generation
-/// still equals `gen` (slots move on compaction/unpark, invalidating the
-/// registration; the queue clears its blocked bits at the same time, so a
-/// stale registration never strands a sleeper).
-#[derive(Debug, Clone, Copy, Default)]
-struct Waiter {
-    qi: u8,
-    slot: u16,
-    gen: u16,
-}
-
-/// Consumers asleep on one completion-ring slot. Bounded: a producer
-/// rarely has more than a couple of in-queue dependents, and on overflow
-/// the consumer simply stays unblocked and rescans every cycle (the
-/// legacy behavior), so the bound costs correctness nothing.
-#[derive(Debug, Clone, Copy, Default)]
-struct WaiterCell {
-    n: u8,
-    w: [Waiter; 2],
-}
+/// End-of-list marker in the per-thread wait lists.
+const NO_WAITER: u16 = u16::MAX;
 
 /// One hardware thread context.
 #[derive(Debug, Clone)]
@@ -143,14 +128,18 @@ struct HwContext {
     /// Instructions parked out of their issue queue awaiting a long-latency
     /// producer: `(wake_cycle, origin_queue, entry)`.
     parked: Vec<(u64, usize, QEntry)>,
-    /// Producer-indexed wakeup table, keyed by the producer's
-    /// completion-ring slot (`seq % RING`): consumers whose producer had
-    /// not issued when they were scanned sleep here instead of re-polling
-    /// the ring every cycle. Drained by the producer's issue commit. Only
-    /// the SoA engine registers entries; ring-slot collisions (a later
-    /// `seq` sharing the slot) at worst wake a sleeper early, which is
-    /// harmless — it rescans and re-registers.
-    waiters: Box<[WaiterCell; RING]>,
+    /// Intrusive wait lists of the SoA engine, all indexed by
+    /// completion-ring slot (`seq % RING`). `wait_head[p]` is the first
+    /// consumer asleep on the producer at ring slot `p` (`NO_WAITER` when
+    /// none); `wait_next[r]` links consumer `r` to the next sleeper on the
+    /// same producer and `wait_q[r]` names the queue holding it. A
+    /// consumer waits on one producer of its own thread, and the in-flight
+    /// window keeps every live ring slot unique, so the lists are exact,
+    /// unbounded and never alias. Filled at dispatch, emptied by the
+    /// producer's issue; the legacy engine leaves them empty.
+    wait_head: Box<[u16; RING]>,
+    wait_next: Box<[u16; RING]>,
+    wait_q: Box<[u8; RING]>,
     /// Last instruction-cache line probed (64-byte granularity), so
     /// straight-line code costs one probe per line, not per instruction.
     last_fetch_line: u64,
@@ -172,7 +161,9 @@ impl HwContext {
             rob_cap: rob_cap as u64,
             fetch_blocked_until: 0,
             parked: Vec::new(),
-            waiters: Box::new([WaiterCell::default(); RING]),
+            wait_head: Box::new([NO_WAITER; RING]),
+            wait_next: Box::new([NO_WAITER; RING]),
+            wait_q: Box::new([0; RING]),
             last_fetch_line: u64::MAX,
         }
     }
@@ -335,8 +326,33 @@ impl QueueBank {
         }
     }
 
-    /// Append a freshly dispatched entry (readiness unknown).
-    fn push_back(&mut self, qi: usize, hw: u8, seq: u64, instr: Instr) {
+    /// Append an entry of context `ctx` (hardware thread `hw`) that
+    /// dispatches at cycle `now`. The legacy engine leaves its readiness
+    /// unknown for the scan to discover. The SoA engine decides it here,
+    /// in one of four states:
+    ///
+    /// - known-ready (`ready_at = 1`): no dependency, or a pre-program
+    ///   producer;
+    /// - blocked on its producer's wait list: the producer has not issued;
+    /// - `ready_at = c`: the producer completes at `c <= now + 1 +
+    ///   PARK_THRESHOLD`;
+    /// - unknown: the producer completes later, so whether the entry
+    ///   parks depends on when the scan first reaches it.
+    ///
+    /// Exact because the scan first inspects the entry no earlier than
+    /// cycle `now + 1` (issue runs before dispatch): a known producer
+    /// completion `c <= now + 1 + PARK_THRESHOLD` can then never park it,
+    /// so that inspection could only memoize `c` or find it ready, and
+    /// every reader of `ready_at` only tests `ready_at > now`.
+    fn push_back(
+        &mut self,
+        qi: usize,
+        ctx: &mut HwContext,
+        hw: u8,
+        seq: u64,
+        instr: Instr,
+        now: u64,
+    ) {
         match self {
             QueueBank::Legacy(qs) => {
                 let q = &mut qs[qi];
@@ -349,7 +365,28 @@ impl QueueBank {
                 q.per_thread[hw as usize] += 1;
                 q.quiet_until = 0;
             }
-            QueueBank::Soa(qs) => qs[qi].push_back(hw, seq, 0, instr),
+            QueueBank::Soa(qs) => {
+                let q = &mut qs[qi];
+                let dep = u64::from(instr.dep_dist);
+                if dep == 0 || seq < dep {
+                    q.push_back(hw, seq, 1, instr);
+                    return;
+                }
+                let p = ((seq - dep) as usize) % RING;
+                let c = ctx.comp[p];
+                if c == PENDING {
+                    let slot = q.push_back(hw, seq, 0, instr);
+                    q.set_blocked(slot);
+                    let r = (seq as usize) % RING;
+                    ctx.wait_next[r] = ctx.wait_head[p];
+                    ctx.wait_q[r] = qi as u8;
+                    ctx.wait_head[p] = r as u16;
+                } else if c <= now + 1 + PARK_THRESHOLD {
+                    q.push_back(hw, seq, c.max(1), instr);
+                } else {
+                    q.push_back(hw, seq, 0, instr);
+                }
+            }
         }
     }
 
@@ -437,10 +474,6 @@ pub struct Core {
     /// Cache-walk ticks accumulated during the current profiled issue
     /// phase.
     prof_mem_ticks: u64,
-    /// Wakeups drained by `try_issue` from the issuing producer's waiter
-    /// cell, handed back to the SoA scan (which owns the queue storage) to
-    /// clear the blocked bits. Empty between issue commits.
-    woken: Vec<Waiter>,
     /// Core-level counters.
     pub counters: CoreCounters,
 }
@@ -540,7 +573,6 @@ impl Core {
             bpred: arch.branch_predictor.map(BranchPredictor::new),
             profiling: false,
             prof_mem_ticks: 0,
-            woken: Vec::new(),
             counters: CoreCounters::default(),
         }
     }
@@ -617,6 +649,12 @@ impl Core {
         let mut queued_by_hw = [0usize; MAX_WAYS];
         match &self.bank {
             QueueBank::Legacy(qs) => {
+                for (t, ctx) in self.ctxs.iter().enumerate() {
+                    assert!(
+                        ctx.wait_head.iter().all(|&h| h == NO_WAITER),
+                        "hw {t}: the legacy engine has wait-list entries"
+                    );
+                }
                 for (qi, q) in qs.iter().enumerate() {
                     assert!(
                         q.live_len() <= q.capacity + max_parked,
@@ -646,6 +684,7 @@ impl Core {
                 }
             }
             QueueBank::Soa(qs) => {
+                let mut blocked_by_hw = [0usize; MAX_WAYS];
                 for (qi, q) in qs.iter().enumerate() {
                     assert!(
                         q.live_len() <= q.capacity + max_parked,
@@ -653,6 +692,13 @@ impl Core {
                         q.live_len(),
                         q.capacity
                     );
+                    for (w, &b) in q.blocked.iter().enumerate() {
+                        assert_eq!(
+                            b & !(q.occ[w] & q.unknown[w]),
+                            0,
+                            "queue {qi} word {w}: blocked bits outside live unknown slots"
+                        );
+                    }
                     let mut per_thread = [0usize; MAX_WAYS];
                     let mut live = 0usize;
                     q.for_each_live(|s| {
@@ -666,6 +712,12 @@ impl Core {
                             q.ready_at[s] == 0,
                             "queue {qi} slot {s}: unknown bit out of sync with ready_at"
                         );
+                        assert_eq!(
+                            q.slot_of(hw, (q.seq[s] as usize) % RING),
+                            s,
+                            "queue {qi} slot {s}: slot_of out of sync"
+                        );
+                        blocked_by_hw[hw] += usize::from(q.is_blocked(s));
                         true
                     });
                     assert_eq!(live, q.live_len(), "queue {qi} live-count out of sync");
@@ -676,6 +728,52 @@ impl Core {
                             "queue {qi} per-thread occupancy out of sync for hw {t}"
                         );
                     }
+                }
+                // Every wait-list node is a live, blocked, unknown entry of
+                // its thread, asleep on the list's producer, which is still
+                // pending; no node is on two lists; and the node count
+                // equals the blocked count, so every blocked slot is on
+                // exactly one list, its producer's.
+                for (t, ctx) in self.ctxs.iter().enumerate() {
+                    let mut on_list = [false; RING];
+                    let mut nodes = 0usize;
+                    for p in 0..RING {
+                        let mut r = ctx.wait_head[p];
+                        while r != NO_WAITER {
+                            let ri = usize::from(r);
+                            assert!(!on_list[ri], "hw {t}: ring slot {ri} on two wait lists");
+                            on_list[ri] = true;
+                            nodes += 1;
+                            assert_eq!(
+                                ctx.comp[p], PENDING,
+                                "hw {t}: wait list of issued producer {p}"
+                            );
+                            let qi = usize::from(ctx.wait_q[ri]);
+                            let q = &qs[qi];
+                            let s = q.slot_of(t, ri);
+                            let live = s < q.occ.len() * 64 && (q.occ[s >> 6] >> (s & 63)) & 1 != 0;
+                            assert!(live, "hw {t}: waiter {ri} not live in queue {qi}");
+                            assert!(
+                                q.is_blocked(s) && q.ready_at[s] == 0,
+                                "hw {t}: waiter {ri} in queue {qi} not blocked and unknown"
+                            );
+                            let seq = q.seq[s];
+                            let dep = u64::from(q.instr[s].dep_dist);
+                            assert!(
+                                q.hw[s] as usize == t
+                                    && (seq as usize) % RING == ri
+                                    && dep > 0
+                                    && seq >= dep
+                                    && ((seq - dep) as usize) % RING == p,
+                                "hw {t}: waiter {ri} in queue {qi} on the wrong list"
+                            );
+                            r = ctx.wait_next[ri];
+                        }
+                    }
+                    assert_eq!(
+                        nodes, blocked_by_hw[t],
+                        "hw {t}: wait-list nodes != blocked slots"
+                    );
                 }
             }
         }
@@ -765,8 +863,8 @@ impl Core {
     /// [`Core::step`] with per-phase tick attribution into `prof`. Runs
     /// the exact same phases (architectural state and counters advance
     /// identically); the only addition is timestamping, plus cache-walk
-    /// ticks being split out of the issue phase via
-    /// [`Core::try_issue`]'s profiling hook.
+    /// ticks being split out of the issue phase via the issue slow path's
+    /// profiling hook.
     #[allow(clippy::too_many_arguments)]
     pub fn step_profiled<W: Workload + ?Sized>(
         &mut self,
@@ -1074,14 +1172,14 @@ impl Core {
                 let unknown = q.unknown[w] & visible;
                 let known = visible & !unknown;
                 let blocked = q.blocked[w] & visible;
-                let qgen = q.gen;
                 let base = w << 6;
                 // Waiting-with-known-completion slots are skipped wholesale
-                // by the mask compare; consumers asleep on a producer
-                // wakeup are skipped by `blocked`. The slow path below sees
-                // exactly the slots the legacy walk would have acted on:
-                // known-ready ones, plus every unknown one whose readiness
-                // could have changed since it was last inspected.
+                // by the mask compare; consumers asleep on a producer that
+                // has not issued are skipped by `blocked`. The slow path
+                // below sees exactly the slots the legacy walk would have
+                // acted on: known-ready ones, plus every unknown one (whose
+                // producer has issued, so it either parks, memoizes the
+                // completion, or is ready).
                 let wait = soa::wait_mask(known, &q.ready_at[base..base + 64], now);
                 if blocked != 0 {
                     // Sleeping consumers veto quiescence exactly as their
@@ -1109,104 +1207,40 @@ impl Core {
                         let dep_dist = instr.dep_dist;
                         let ctx = &self.ctxs[hw];
                         if !ctx.dep_ready(seq, dep_dist, now) {
-                            if dep_dist > 0 && seq >= u64::from(dep_dist) {
-                                let p = ((seq - u64::from(dep_dist)) as usize) % RING;
-                                let c = ctx.comp[p];
-                                if c != PENDING {
-                                    if c > now + PARK_THRESHOLD {
-                                        let e = QEntry {
-                                            hw: hw as u8,
-                                            seq,
-                                            ready_at: 0,
-                                            instr,
-                                        };
-                                        qs[qi].tombstone(slot, hw);
-                                        self.ctxs[hw].parked.push((c, qi, e));
-                                        activity += 1;
-                                        all_waiting = false;
-                                    } else {
-                                        // Completion known and near:
-                                        // memoize it.
-                                        let q = &mut qs[qi];
-                                        q.ready_at[slot] = c;
-                                        q.clear_unknown(slot);
-                                    }
-                                    continue;
-                                }
-                                // Producer not yet issued: sleep this
-                                // consumer on the producer's issue event
-                                // instead of re-polling the ring every
-                                // cycle. If the cell is full even after
-                                // purging dead registrations, the entry
-                                // simply keeps rescanning (the legacy
-                                // behavior) — the bound costs correctness
-                                // nothing.
+                            // Unready and unblocked: the producer has issued
+                            // (dispatch blocks every entry whose producer is
+                            // pending), so its completion is known.
+                            let c = ctx.comp[((seq - u64::from(dep_dist)) as usize) % RING];
+                            debug_assert_ne!(c, PENDING, "unknown entry with a pending producer");
+                            if c > now + PARK_THRESHOLD {
+                                let e = QEntry {
+                                    hw: hw as u8,
+                                    seq,
+                                    ready_at: 0,
+                                    instr,
+                                };
+                                qs[qi].tombstone(slot, hw);
+                                self.ctxs[hw].parked.push((c, qi, e));
+                                activity += 1;
                                 all_waiting = false;
-                                let cell = &mut self.ctxs[hw].waiters[p];
-                                if cell.n as usize == cell.w.len() {
-                                    let mut k = 0;
-                                    while k < cell.n {
-                                        let e = cell.w[k as usize];
-                                        let eq = &qs[e.qi as usize];
-                                        if e.gen != eq.gen || !eq.is_blocked(e.slot as usize) {
-                                            cell.n -= 1;
-                                            cell.w[k as usize] = cell.w[cell.n as usize];
-                                        } else {
-                                            k += 1;
-                                        }
-                                    }
-                                }
-                                if (cell.n as usize) < cell.w.len() {
-                                    cell.w[cell.n as usize] = Waiter {
-                                        qi: qi as u8,
-                                        slot: slot as u16,
-                                        gen: qgen,
-                                    };
-                                    cell.n += 1;
-                                    qs[qi].set_blocked(slot);
-                                }
-                                continue;
+                            } else {
+                                // Completion known and near: memoize it.
+                                qs[qi].set_ready_at(slot, c);
                             }
-                            // Producer unreachable through the ring window:
-                            // rescan every cycle.
-                            all_waiting = false;
                             continue;
                         }
-                        // Proven ready: memoize, then try the ports.
-                        let q = &mut qs[qi];
-                        q.ready_at[slot] = now.max(1);
-                        q.clear_unknown(slot);
+                        // Proven ready: memoize (`now.max(1)` keeps the
+                        // marker out of the 0 = unknown encoding), then try
+                        // the ports.
+                        qs[qi].set_ready_at(slot, now.max(1));
                     }
                     all_waiting = false;
                     match self.try_issue(arch, qi, hw, seq, instr, now, mem, sw) {
                         TryIssue::Issued => {
                             qs[qi].tombstone(slot, hw);
                             activity += 1;
-                            if !self.woken.is_empty() {
-                                // The issue was a wakeup event: clear the
-                                // sleepers' blocked bits. A consumer younger
-                                // than the issuing producer in this same
-                                // word re-enters the scan immediately — the
-                                // legacy walk would reach it later this very
-                                // cycle; everyone else is rescanned when
-                                // their word or queue next comes up.
-                                let mut woken = std::mem::take(&mut self.woken);
-                                for wk in woken.drain(..) {
-                                    let wq = &mut qs[wk.qi as usize];
-                                    let s = wk.slot as usize;
-                                    if wk.gen != wq.gen || !wq.is_blocked(s) {
-                                        continue;
-                                    }
-                                    wq.clear_blocked(s);
-                                    if wk.qi as usize == qi
-                                        && s >> 6 == w
-                                        && s > slot
-                                        && visible & (1 << (s & 63)) != 0
-                                    {
-                                        cand |= 1 << (s & 63);
-                                    }
-                                }
-                                self.woken = woken;
+                            if self.ctxs[hw].wait_head[(seq as usize) % RING] != NO_WAITER {
+                                cand |= self.wake(qs, hw, seq, now, qi, slot, visible);
                             }
                         }
                         TryIssue::LmqReject => activity += 1,
@@ -1234,6 +1268,53 @@ impl Core {
             }
         }
         activity
+    }
+
+    /// Wake the consumers asleep on producer `seq` of context `hw`, which
+    /// just issued from `slot` of queue `qi` while the scan holds that
+    /// slot's word with visible bits `visible`. Empties the producer's wait
+    /// list and clears each consumer's `blocked` bit.
+    ///
+    /// A consumer whose producer completes at `c` with `now < c <= now +
+    /// PARK_THRESHOLD` gets `ready_at = c` here: the legacy walk inspects
+    /// it no earlier than this cycle, when it can no longer park, so that
+    /// inspection could only have memoized `c`, and `c > now` keeps it out
+    /// of this cycle's candidates. Every other consumer rejoins the scan
+    /// as unknown. Returns those the legacy walk would still reach in this
+    /// very word this cycle (younger than the producer and visible) for
+    /// the caller to add to its candidates; later words and queues pick
+    /// the rest up through their cleared bits, earlier ones next cycle.
+    #[allow(clippy::too_many_arguments)]
+    fn wake(
+        &mut self,
+        qs: &mut [SoaQueue],
+        hw: usize,
+        seq: u64,
+        now: u64,
+        qi: usize,
+        slot: usize,
+        visible: u64,
+    ) -> u64 {
+        let ctx = &mut self.ctxs[hw];
+        let p = (seq as usize) % RING;
+        let c = ctx.comp[p];
+        let mut r = std::mem::replace(&mut ctx.wait_head[p], NO_WAITER);
+        let mut cand = 0u64;
+        while r != NO_WAITER {
+            let ri = usize::from(r);
+            let wqi = usize::from(ctx.wait_q[ri]);
+            r = ctx.wait_next[ri];
+            let wq = &mut qs[wqi];
+            let s = wq.slot_of(hw, ri);
+            wq.clear_blocked(s);
+            if c > now && c <= now + PARK_THRESHOLD {
+                wq.set_ready_at(s, c);
+            } else if wqi == qi && s >> 6 == slot >> 6 && s > slot && visible & (1 << (s & 63)) != 0
+            {
+                cand |= 1 << (s & 63);
+            }
+        }
+        cand
     }
 
     /// The engine-shared slow path for one ready-or-unknown-ready entry:
@@ -1342,15 +1423,6 @@ impl Core {
         let ctx = &mut self.ctxs[hw];
         ctx.comp[(seq as usize) % RING] = completion;
         ctx.unissued_remove(seq);
-        // This issue is the wakeup event consumers sleeping on this ring
-        // slot registered for. Queue storage belongs to the caller, so
-        // hand the drained registrations back through `woken` (always
-        // empty under the legacy engine, which never registers).
-        let cell = &mut ctx.waiters[(seq as usize) % RING];
-        if cell.n > 0 {
-            let cell = std::mem::take(cell);
-            self.woken.extend_from_slice(&cell.w[..cell.n as usize]);
-        }
         let t = &mut sw[sw_id];
         t.record_issue(instr.class, port, instr.work);
         if instr.class == InstrClass::Branch {
@@ -1382,7 +1454,7 @@ impl Core {
     fn dispatch(
         &mut self,
         arch: &ArchDescriptor,
-        _now: u64,
+        now: u64,
         mode: StepMode,
         sw: &mut [ThreadCounters],
     ) -> u32 {
@@ -1452,7 +1524,7 @@ impl Core {
                         ctx.dispatch_seq += 1;
                         ctx.comp[(seq as usize) % RING] = PENDING;
                         ctx.unissued_insert(seq);
-                        self.bank.push_back(qi, t as u8, seq, instr);
+                        self.bank.push_back(qi, ctx, t as u8, seq, instr, now);
                         sw[ctx.sw_id].dispatched += 1;
                         dispatched += 1;
                         thread_dispatched[t] += 1;
@@ -2187,6 +2259,140 @@ mod tests {
         }
         assert!(ca.finished() && cb.finished(), "script did not complete");
         assert_eq!(sa[0].issued + sa[1].issued, 6000);
+    }
+
+    /// Step a legacy core and a SoA core running `script` on `ways`
+    /// threads in lockstep until both finish, checking activity, thread
+    /// counters, queue occupancy and both cores' invariants every cycle.
+    /// `observe` sees the SoA core before and after each step.
+    fn lockstep(
+        arch: &ArchDescriptor,
+        script: &[Instr],
+        ways: usize,
+        mut observe: impl FnMut(&Core, &Core),
+    ) {
+        let mk = |engine: IssueEngine| {
+            let mut w = ScriptedWorkload::new("lockstep", script.to_vec());
+            w.set_thread_count(ways);
+            let ids: Vec<usize> = (0..ways).collect();
+            let core = Core::with_engine(arch, 0, &ids, engine);
+            let sw = vec![ThreadCounters::new(arch.num_ports()); ways];
+            (w, core, sw)
+        };
+        let (mut wa, mut ca, mut sa) = mk(IssueEngine::Legacy);
+        let (mut wb, mut cb, mut sb) = mk(IssueEngine::Soa);
+        let mut ma = mem_system(1);
+        let mut mb = mem_system(1);
+        for now in 0..1_000_000u64 {
+            let before = cb.clone();
+            let aa = ca.step(arch, now, StepMode::Normal, &mut wa, &mut ma, &mut sa);
+            let ab = cb.step(arch, now, StepMode::Normal, &mut wb, &mut mb, &mut sb);
+            assert_eq!(aa, ab, "activity diverged at cycle {now}");
+            assert_eq!(sa, sb, "thread counters diverged at cycle {now}");
+            ca.check_invariants();
+            cb.check_invariants();
+            for qi in 0..arch.queues.len() {
+                assert_eq!(
+                    ca.queue_len(qi),
+                    cb.queue_len(qi),
+                    "queue {qi} occupancy diverged at cycle {now}"
+                );
+            }
+            observe(&before, &cb);
+            if wa.finished() && ca.drained() {
+                assert!(wb.finished() && cb.drained());
+                break;
+            }
+        }
+        assert!(ca.finished() && cb.finished(), "script did not complete");
+        let issued: u64 = sa.iter().map(|t| t.issued).sum();
+        assert_eq!(issued, (script.len() * ways) as u64);
+    }
+
+    #[test]
+    fn engines_agree_on_wide_fan_out_while_sleepers_move() {
+        // One long-latency load feeds five consumers (dependence distances
+        // 1-5) spread over all four POWER7 queues, so its wait list holds
+        // up to five sleepers in several queues at once. A later consumer
+        // of the same load dispatches after it issued and parks; its
+        // unpark (`push_front`) and the compactions of the busy unified
+        // queues move the sleepers of younger loads while they wait.
+        let arch = ArchDescriptor::power7();
+        let mut script = Vec::new();
+        for k in 0..4000u64 {
+            let i = match k % 16 {
+                0 => Instr::load(k * 64 * 1024 + 4096),
+                1 => Instr::simple(InstrClass::FixedPoint).with_dep(1),
+                2 => Instr::simple(InstrClass::CondReg).with_dep(2),
+                3 => Instr::branch(k % 48 == 3).with_dep(3),
+                4 => Instr::simple(InstrClass::VectorScalar).with_dep(4),
+                5 => Instr::store((k % 32) * 64).with_dep(5),
+                13 => Instr::simple(InstrClass::FixedPoint).with_dep(13),
+                9 => Instr::load((k % 16) * 64),
+                _ => Instr::simple(InstrClass::FixedPoint),
+            };
+            script.push(i);
+        }
+        let (mut moved_down, mut moved_up, mut fan_out) = (0usize, 0usize, 0usize);
+        lockstep(&arch, &script, 2, |before, after| {
+            let (QueueBank::Soa(was), QueueBank::Soa(qs)) = (&before.bank, &after.bank) else {
+                unreachable!()
+            };
+            // Where did the sleepers that are still asleep go?
+            for (q0, q) in was.iter().zip(qs) {
+                q0.for_each_live(|slot| {
+                    let (hw, seq) = (q0.hw[slot] as usize, q0.seq[slot]);
+                    let s = q.slot_of(hw, (seq as usize) % RING);
+                    if q0.is_blocked(slot)
+                        && q.is_blocked(s)
+                        && q.seq[s] == seq
+                        && q.hw[s] as usize == hw
+                    {
+                        moved_down += usize::from(s < slot);
+                        moved_up += usize::from(s > slot);
+                    }
+                    true
+                });
+            }
+            for ctx in &after.ctxs {
+                for p in 0..RING {
+                    let (mut n, mut r) = (0, ctx.wait_head[p]);
+                    while r != NO_WAITER {
+                        n += 1;
+                        r = ctx.wait_next[usize::from(r)];
+                    }
+                    fan_out = fan_out.max(n);
+                }
+            }
+        });
+        assert!(fan_out >= 4, "longest wait list {fan_out}, want >= 4");
+        assert!(moved_down > 0, "no sleeper moved by compaction");
+        assert!(moved_up > 0, "no sleeper moved by an unpark");
+    }
+
+    #[test]
+    fn engines_agree_at_the_park_threshold() {
+        // A vector-scalar producer whose latency straddles the park
+        // threshold, with one consumer dispatched beside it (asleep until
+        // it issues, then woken with completion `now + latency`) and two
+        // dispatched the cycle after it issued (classified at dispatch).
+        // One cycle either side of each boundary decides park versus
+        // memoize, and parking shows in activity and queue occupancy.
+        for latency in PARK_THRESHOLD - 1..=PARK_THRESHOLD + 2 {
+            let mut arch = ArchDescriptor::power7();
+            arch.latencies.vector_scalar = latency;
+            let mut script = Vec::new();
+            for k in 0..800u64 {
+                script.push(match k % 8 {
+                    0 => Instr::simple(InstrClass::VectorScalar),
+                    1 => Instr::simple(InstrClass::FixedPoint).with_dep(1),
+                    6 => Instr::simple(InstrClass::FixedPoint).with_dep(6),
+                    7 => Instr::simple(InstrClass::FixedPoint).with_dep(7),
+                    _ => Instr::simple(InstrClass::FixedPoint),
+                });
+            }
+            lockstep(&arch, &script, 1, |_, _| {});
+        }
     }
 
     #[test]

@@ -4,21 +4,32 @@
 //! every waiting instruction costs a pointer chase, a handful of branchy
 //! field reads, and a scan-depth bookkeeping update, every cycle, even
 //! though the common outcome is "still waiting". This module stores the
-//! same queue as parallel arrays indexed by *age order* plus two `u64`
+//! same queue as parallel arrays indexed by *age order* plus three `u64`
 //! bitmap banks:
 //!
 //! - `occ` — bit set when the slot holds a live (non-tombstoned) entry;
 //! - `unknown` — bit set when the slot's memoized `ready_at` is still the
-//!   `0` = unknown sentinel (producer not yet issued, or never inspected).
+//!   `0` = unknown sentinel;
+//! - `blocked` — bit set when the slot's producer has not issued yet; a
+//!   subset of `occ & unknown`.
 //!
 //! With that layout one 64-slot word of the queue is classified in a few
 //! mask operations: `known = occ & !unknown` entries carry an immutable
 //! producer-completion timestamp, so "which of these are still waiting?"
 //! is a `ready_at[i] > now` compare across the word
-//! ([`wait_mask`]), and the slots that need the slow path — issue, park,
-//! memoize, or a dependence-ring lookup — are exactly
-//! `(known & !wait) | unknown`, iterated with `trailing_zeros`. Everything
-//! else (the typical majority) is skipped wholesale.
+//! (`wait_mask`), and the slots that need the slow path — issue, park,
+//! memoize — are exactly `(known & !wait) | (unknown & !blocked)`,
+//! iterated with `trailing_zeros`. Everything else (the typical majority)
+//! is skipped wholesale.
+//!
+//! Readiness is decided when it can change rather than rediscovered by
+//! the scan: the core classifies each entry at dispatch (known-ready, a
+//! near producer completion, blocked on a producer that has not issued,
+//! or unknown) and again when a blocked entry's producer issues. Blocked
+//! entries sit on exact per-thread wait lists that name them by
+//! completion-ring slot; the queue's `slot_of` table maps that name to
+//! the entry's physical slot, and compaction and front insertion keep the
+//! table and the `blocked` bits with the entries they move.
 //!
 //! Because slot index equals age order and the slow path is shared with
 //! the legacy engine, the scan inspects candidates in the *same order* and
@@ -28,6 +39,7 @@
 //!
 //! The word kernel is a portable sparse `u64` bit-iterator over `known`.
 
+use crate::core::{MAX_WAYS, RING};
 use crate::isa::{Instr, InstrClass};
 
 /// Which issue-queue engine a core runs.
@@ -35,7 +47,7 @@ use crate::isa::{Instr, InstrClass};
 /// Both engines are bit-identical by construction and by differential
 /// proof. `Simulation::new` always builds `Soa` cores; `Legacy` is kept
 /// only as the executable reference the proofs compare against, selected
-/// through `Simulation::set_issue_engine`.
+/// through [`Simulation::set_issue_engine`](crate::Simulation::set_issue_engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IssueEngine {
     /// The original `VecDeque<QEntry>` per-entry scan.
@@ -48,11 +60,10 @@ pub enum IssueEngine {
 /// Dead (tombstoned) slots the *legacy* engine tolerates before its
 /// `VecDeque` is compacted. The SoA engine instead compacts only when a
 /// push would otherwise grow the arrays: tombstones are invisible to its
-/// bitmap walk (a cleared `occ` bit costs nothing to skip), and deferring
-/// compaction keeps queue generations — and with them the registered
-/// producer-wakeup slots — stable for longer. Compaction timing is purely
-/// a layout choice, invisible to architectural state, so the engines need
-/// not agree on it.
+/// bitmap walk (a cleared `occ` bit costs nothing to skip), so deferring
+/// compaction saves the array moves and the `slot_of` rewrites that go
+/// with them. Compaction timing is purely a layout choice, invisible to
+/// architectural state, so the engines need not agree on it.
 pub(crate) const COMPACT_DEAD: usize = 8;
 
 /// Waiting-entry mask for one word: bit `b` set when `known` holds `b`
@@ -114,25 +125,24 @@ pub(crate) struct SoaQueue {
     pub(crate) hw: Vec<u8>,
     /// Instruction payload per slot.
     pub(crate) instr: Vec<Instr>,
-    /// Slots asleep on a producer wakeup: the slow path proved the
-    /// producer has not issued yet (its completion-ring slot still reads
-    /// `PENDING`) and registered the slot in the owning context's waiter
-    /// table, so the scan can skip it wholesale until the producer's issue
-    /// event clears the bit. Always a subset of `occ & unknown`. A
-    /// blocked slot is semantically identical to re-inspecting the entry
-    /// every cycle — the legacy walk's inspection of such an entry has no
-    /// effect beyond vetoing queue quiescence, which [`Self::blocked_any`]
-    /// preserves.
+    /// Slots asleep on a producer that has not issued yet (its
+    /// completion-ring slot reads `PENDING`). Each one is on exactly one
+    /// wait list, its producer's, and the producer's issue clears the bit.
+    /// Always a subset of `occ & unknown`. A blocked slot is semantically
+    /// identical to re-inspecting the entry every cycle: the legacy walk's
+    /// inspection of such an entry has no effect beyond vetoing queue
+    /// quiescence, which the scan preserves by testing the bits.
     pub(crate) blocked: Vec<u64>,
-    /// Bumped whenever existing slots move (`push_front`, [`Self::compact`]),
-    /// invalidating every waiter registration that names them; the matching
-    /// `blocked` bits are cleared in the same breath so the affected
-    /// entries simply fall back to per-cycle rescans until re-registered.
-    pub(crate) gen: u16,
+    /// Physical slot by `(hw, seq % RING)`, kept exact for every live
+    /// entry (stale for dead ones): the name wait lists use for an entry
+    /// survives the moves of [`Self::compact`] and [`Self::push_front`].
+    /// Slots fit in `u16`: every queued entry is in its thread's in-flight
+    /// window, so a queue never holds more than `MAX_WAYS * RING` entries.
+    slot_of: Vec<u16>,
     /// Live entries (`occ` popcount).
     live: usize,
     pub(crate) capacity: usize,
-    pub(crate) per_thread: [u16; crate::core::MAX_WAYS],
+    pub(crate) per_thread: [u16; MAX_WAYS],
     pub(crate) per_thread_cap: usize,
     /// Same semantics as the legacy `IssueQueue::quiet_until`.
     pub(crate) quiet_until: u64,
@@ -146,14 +156,14 @@ impl SoaQueue {
             occ: vec![0; words],
             unknown: vec![0; words],
             blocked: vec![0; words],
-            gen: 0,
+            slot_of: vec![0; MAX_WAYS * RING],
             ready_at: vec![0; words * 64],
             seq: vec![0; words * 64],
             hw: vec![0; words * 64],
             instr: vec![Instr::simple(InstrClass::FixedPoint); words * 64],
             live: 0,
             capacity,
-            per_thread: [0; crate::core::MAX_WAYS],
+            per_thread: [0; MAX_WAYS],
             per_thread_cap,
             quiet_until: 0,
         }
@@ -179,9 +189,22 @@ impl SoaQueue {
         usize::from(self.per_thread[hw]) >= self.per_thread_cap
     }
 
+    /// Physical slot of the live entry of context `hw` whose sequence
+    /// number sits at completion-ring slot `ring`.
+    #[inline]
+    pub(crate) fn slot_of(&self, hw: usize, ring: usize) -> usize {
+        usize::from(self.slot_of[hw * RING + ring])
+    }
+
+    /// Point `slot_of` at `slot` for the entry it holds.
+    #[inline]
+    fn index(&mut self, slot: usize) {
+        let key = usize::from(self.hw[slot]) * RING + (self.seq[slot] as usize) % RING;
+        self.slot_of[key] = slot as u16;
+    }
+
     /// Make room for one more physical slot: compact the tombstones away
-    /// when there are any (bumping the generation), otherwise grow every
-    /// array by one 64-slot word.
+    /// when there are any, otherwise grow every array by one 64-slot word.
     fn make_room(&mut self) {
         if self.dead() > 0 {
             self.compact();
@@ -202,8 +225,8 @@ impl SoaQueue {
             .resize(self.instr.len() + 64, Instr::simple(InstrClass::FixedPoint));
     }
 
-    /// Append a dispatched entry (the youngest slot).
-    pub(crate) fn push_back(&mut self, hw: u8, seq: u64, ready_at: u64, instr: Instr) {
+    /// Append a dispatched entry (the youngest slot) and return its slot.
+    pub(crate) fn push_back(&mut self, hw: u8, seq: u64, ready_at: u64, instr: Instr) -> usize {
         if self.plen == self.occ.len() * 64 {
             self.make_room();
         }
@@ -212,6 +235,7 @@ impl SoaQueue {
         self.seq[slot] = seq;
         self.hw[slot] = hw;
         self.instr[slot] = instr;
+        self.index(slot);
         self.occ[slot >> 6] |= 1 << (slot & 63);
         if ready_at == 0 {
             self.unknown[slot >> 6] |= 1 << (slot & 63);
@@ -220,20 +244,19 @@ impl SoaQueue {
         self.live += 1;
         self.per_thread[hw as usize] += 1;
         self.quiet_until = 0;
+        slot
     }
 
     /// Re-insert an unparked entry at the front (it is older than anything
     /// dispatched since it left). Rare: only producers that missed past the
     /// park threshold route through here, so the array shift is off the
-    /// hot path.
+    /// hot path. Every existing slot moves one up, carrying its bits and
+    /// its `slot_of` entry; the new entry is never blocked (it was parked
+    /// on a producer that had already issued).
     pub(crate) fn push_front(&mut self, hw: u8, seq: u64, ready_at: u64, instr: Instr) {
         if self.plen == self.occ.len() * 64 {
             self.make_room();
         }
-        // Every existing slot moves one up: registered wakeups now name the
-        // wrong slots, so invalidate them and let the entries rescan.
-        self.gen = self.gen.wrapping_add(1);
-        self.blocked.fill(0);
         self.ready_at.copy_within(0..self.plen, 1);
         self.seq.copy_within(0..self.plen, 1);
         self.hw.copy_within(0..self.plen, 1);
@@ -244,6 +267,7 @@ impl SoaQueue {
         self.instr[0] = instr;
         let mut carry_occ = 1u64;
         let mut carry_unk = u64::from(ready_at == 0);
+        let mut carry_blk = 0u64;
         for w in 0..self.occ.len() {
             let o = self.occ[w];
             self.occ[w] = (o << 1) | carry_occ;
@@ -251,11 +275,22 @@ impl SoaQueue {
             let u = self.unknown[w];
             self.unknown[w] = (u << 1) | carry_unk;
             carry_unk = u >> 63;
+            let k = self.blocked[w];
+            self.blocked[w] = (k << 1) | carry_blk;
+            carry_blk = k >> 63;
         }
         self.plen += 1;
         self.live += 1;
         self.per_thread[hw as usize] += 1;
         self.quiet_until = 0;
+        for w in 0..self.occ.len() {
+            let mut bits = self.occ[w];
+            while bits != 0 {
+                let s = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.index(s);
+            }
+        }
     }
 
     /// Logically remove the entry at `slot` (issue or park).
@@ -269,39 +304,38 @@ impl SoaQueue {
         self.per_thread[hw] -= 1;
     }
 
-    /// Put `slot` to sleep until its producer's issue event clears it.
+    /// Put `slot` to sleep until its producer's issue clears it.
     #[inline]
     pub(crate) fn set_blocked(&mut self, slot: usize) {
         self.blocked[slot >> 6] |= 1 << (slot & 63);
     }
 
-    /// Wake `slot` (producer issued, or a spurious ring-collision wake —
-    /// either way the next scan re-inspects it).
+    /// Wake `slot`: its producer issued.
     #[inline]
     pub(crate) fn clear_blocked(&mut self, slot: usize) {
         self.blocked[slot >> 6] &= !(1u64 << (slot & 63));
     }
 
-    /// Is `slot` asleep on a producer wakeup?
+    /// Is `slot` asleep on its producer?
     #[inline]
     pub(crate) fn is_blocked(&self, slot: usize) -> bool {
         self.blocked[slot >> 6] & (1 << (slot & 63)) != 0
     }
 
-    /// Clear the unknown mark after memoizing `ready_at[slot]`.
+    /// Memoize `ready_at[slot] = ready_at` (nonzero) and clear the unknown
+    /// mark.
     #[inline]
-    pub(crate) fn clear_unknown(&mut self, slot: usize) {
+    pub(crate) fn set_ready_at(&mut self, slot: usize, ready_at: u64) {
+        debug_assert_ne!(ready_at, 0);
+        self.ready_at[slot] = ready_at;
         self.unknown[slot >> 6] &= !(1u64 << (slot & 63));
     }
 
     /// Squeeze tombstones out: live entries slide down to a dense prefix,
-    /// preserving age order. Purely a layout change — invisible to the
-    /// architectural state. Slots move, so wakeup registrations are
-    /// invalidated (generation bump) and blocked entries fall back to
-    /// rescanning.
+    /// preserving age order and carrying their `unknown` and `blocked`
+    /// bits and their `slot_of` entries. Purely a layout change —
+    /// invisible to the architectural state and to the wait lists.
     pub(crate) fn compact(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        self.blocked.fill(0);
         let words = self.occ.len();
         let mut dst = 0usize;
         for w in 0..words {
@@ -314,14 +348,16 @@ impl SoaQueue {
                     self.seq[dst] = self.seq[s];
                     self.hw[dst] = self.hw[s];
                     self.instr[dst] = self.instr[s];
+                    self.index(dst);
                     // `dst` strictly trails every slot still to be read, so
-                    // rewriting the unknown bit in place is safe.
-                    let unk = (self.unknown[s >> 6] >> (s & 63)) & 1;
+                    // rewriting its bits in place is safe.
                     let bit = 1u64 << (dst & 63);
-                    if unk != 0 {
-                        self.unknown[dst >> 6] |= bit;
-                    } else {
-                        self.unknown[dst >> 6] &= !bit;
+                    for bank in [&mut self.unknown, &mut self.blocked] {
+                        if (bank[s >> 6] >> (s & 63)) & 1 != 0 {
+                            bank[dst >> 6] |= bit;
+                        } else {
+                            bank[dst >> 6] &= !bit;
+                        }
                     }
                 }
                 dst += 1;
@@ -337,6 +373,7 @@ impl SoaQueue {
                 0
             };
             self.unknown[w] &= self.occ[w];
+            self.blocked[w] &= self.occ[w];
         }
         self.plen = dst;
         debug_assert_eq!(self.live, dst);
@@ -440,6 +477,77 @@ mod tests {
             true
         });
         let expect: Vec<u64> = (0..20).filter(|k| k % 4 != 0).collect();
+        assert_eq!(seqs, expect);
+    }
+
+    #[test]
+    fn compact_and_push_front_carry_blocked_bits_and_slot_of() {
+        // Two threads, two words; every third entry asleep on a producer.
+        let mut q = SoaQueue::new(8, 8);
+        for k in 0..70u64 {
+            let ready = if k % 3 == 0 { 0 } else { k + 100 };
+            let slot = q.push_back(
+                (k % 2) as u8,
+                k,
+                ready,
+                Instr::simple(InstrClass::FixedPoint),
+            );
+            assert_eq!(slot, k as usize);
+            if k % 3 == 0 {
+                q.set_blocked(slot);
+            }
+        }
+        for s in (0..70).step_by(4) {
+            let hw = q.hw[s] as usize;
+            q.tombstone(s, hw);
+        }
+        let check = |q: &SoaQueue, what: &str| {
+            let mut live = 0;
+            q.for_each_live(|s| {
+                let k = q.seq[s];
+                let hw = q.hw[s] as usize;
+                assert_eq!(
+                    q.slot_of(hw, k as usize % RING),
+                    s,
+                    "{what}: slot_of of seq {k}"
+                );
+                assert_eq!(
+                    q.is_blocked(s),
+                    k < 70 && k.is_multiple_of(3),
+                    "{what}: blocked bit of seq {k}"
+                );
+                let unk = (q.unknown[s >> 6] >> (s & 63)) & 1 == 1;
+                assert_eq!(unk, q.ready_at[s] == 0, "{what}: unknown bit of seq {k}");
+                live += 1;
+                true
+            });
+            assert_eq!(live, q.live_len(), "{what}");
+            for w in 0..q.occ.len() {
+                assert_eq!(
+                    q.blocked[w] & !q.occ[w],
+                    0,
+                    "{what}: blocked bit on a dead slot"
+                );
+            }
+        };
+        check(&q, "before");
+        // The shift carries slot 63's blocked bit into word 1.
+        assert!(q.is_blocked(63));
+        q.push_front(1, 998, 0, Instr::simple(InstrClass::Load));
+        assert!(q.is_blocked(64) && !q.is_blocked(0));
+        assert_eq!(q.slot_of(1, 998 % RING), 0);
+        check(&q, "after push_front");
+        q.compact();
+        assert_eq!(q.dead(), 0);
+        check(&q, "after compact");
+        let mut seqs = Vec::new();
+        q.for_each_live(|s| {
+            seqs.push(q.seq[s]);
+            true
+        });
+        let expect: Vec<u64> = std::iter::once(998)
+            .chain((0..70).filter(|k| k % 4 != 0))
+            .collect();
         assert_eq!(seqs, expect);
     }
 }
