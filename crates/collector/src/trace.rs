@@ -401,11 +401,6 @@ impl<R: Read> TraceReader<R> {
         (self.declared != COUNT_UNTERMINATED).then_some(self.declared)
     }
 
-    /// Windows decoded so far.
-    pub fn windows_read(&self) -> u64 {
-        self.read
-    }
-
     /// Read, verify, and decode the next record; `Ok(None)` at a clean
     /// end of trace. Not `Iterator::next` — decoding is fallible and a
     /// corrupt record must surface as an error, not end the stream.

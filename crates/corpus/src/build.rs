@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 
 use rayon::prelude::*;
 use smt_collect::{fnv1a, CounterBackend, SimBackend, TraceMeta, TraceWriter};
+use smt_sched::oracle_sweep;
+use smt_sim::error::panic_message;
 use smt_sim::{Error, MachineConfig, Simulation};
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 use smtsm::{DEFAULT_THRESHOLD_MID, DEFAULT_THRESHOLD_TOP};
@@ -213,12 +215,10 @@ pub fn build_corpus(out_dir: &Path, opts: &BuildOptions) -> Result<BuildOutcome,
             let id = format!("{}/{}/{}", job.arch.tag(), job.tier.name(), job.spec.name);
             catch_unwind(AssertUnwindSafe(|| build_cell(job, out_dir, opts)))
                 .unwrap_or_else(|p| {
-                    let msg = p
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic".to_string());
-                    Err(Error::InvalidMeasurement(format!("cell panicked: {msg}")))
+                    Err(Error::InvalidMeasurement(format!(
+                        "cell panicked: {}",
+                        panic_message(p.as_ref())
+                    )))
                 })
                 .map_err(|e| (id, e.to_string()))
         })
@@ -307,23 +307,22 @@ fn build_cell(job: &BuildJob, out_dir: &Path, opts: &BuildOptions) -> Result<Cor
     // Oracle: run every supported level to completion, label with the
     // whole-run throughput argmax (ties break to the higher level, the
     // machine's run-at-top default).
-    let mut perf = Vec::new();
-    for level in machine.smt_levels() {
-        let mut sim = Simulation::new(machine.clone(), level, SyntheticWorkload::new(spec.clone()));
-        let res = sim.run_until_finished(opts.max_run_cycles);
-        if !res.completed {
-            return Err(Error::InvalidMeasurement(format!(
-                "oracle run {} at {level} did not finish within {} cycles",
-                job.spec.name, opts.max_run_cycles
-            )));
-        }
-        perf.push((level, res.work_done as f64 / res.cycles.max(1) as f64));
+    let sweep = oracle_sweep(
+        &machine,
+        || SyntheticWorkload::new(spec.clone()),
+        opts.max_run_cycles,
+    )?;
+    if let Some(l) = sweep.levels.iter().find(|l| !l.result.completed) {
+        return Err(Error::InvalidMeasurement(format!(
+            "oracle run {} at {} did not finish within {} cycles",
+            job.spec.name, l.smt, opts.max_run_cycles
+        )));
     }
-    let best = perf
+    let perf = sweep
+        .levels
         .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(l, _)| *l)
-        .ok_or_else(|| Error::InvalidMeasurement("oracle measured no levels".to_string()))?;
+        .map(|l| (l.smt, l.result.perf()))
+        .collect();
 
     let bytes = std::fs::read(&path)
         .map_err(|e| Error::Io(format!("re-reading {}: {e}", path.display())))?;
@@ -336,7 +335,10 @@ fn build_cell(job: &BuildJob, out_dir: &Path, opts: &BuildOptions) -> Result<Cor
         file: job.file.clone(),
         trace_checksum: fnv1a(&bytes),
         trace_windows: written,
-        oracle: OracleLabel { best, perf },
+        oracle: OracleLabel {
+            best: sweep.best,
+            perf,
+        },
     })
 }
 
@@ -391,6 +393,22 @@ pub fn check_against(fresh: &CorpusManifest, committed: &CorpusManifest) -> Vec<
                 what: format!(
                     "oracle best {} != committed {}",
                     e.oracle.best, c.oracle.best
+                ),
+            });
+        }
+        // Bit-exact: a throughput drift that leaves `best` alone still
+        // moves near-tie scoring.
+        let same_perf = e.oracle.perf.len() == c.oracle.perf.len()
+            && e.oracle
+                .perf
+                .iter()
+                .all(|&(level, p)| c.oracle.perf_at(level).map(f64::to_bits) == Some(p.to_bits()));
+        if !same_perf {
+            drifts.push(Drift {
+                id: e.id.clone(),
+                what: format!(
+                    "oracle perf {:?} != committed {:?}",
+                    e.oracle.perf, c.oracle.perf
                 ),
             });
         }
@@ -455,6 +473,24 @@ mod tests {
         for d in [&dir1, &dir2] {
             std::fs::remove_dir_all(d).ok();
         }
+    }
+
+    #[test]
+    fn perturbed_oracle_perf_is_drift() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(crate::manifest::DEFAULT_MANIFEST);
+        let committed = CorpusManifest::load(&path).expect("committed manifest");
+        assert!(check_against(&committed, &committed).is_empty());
+        // One ULP on one level's throughput: `best` and the trace are
+        // untouched, so only the perf compare can see it.
+        let mut fresh = committed.clone();
+        let p = &mut fresh.entries[0].oracle.perf[0].1;
+        *p = f64::from_bits(p.to_bits() + 1);
+        let drifts = check_against(&fresh, &committed);
+        assert_eq!(drifts.len(), 1, "{drifts:?}");
+        assert_eq!(drifts[0].id, committed.entries[0].id);
+        assert!(drifts[0].what.starts_with("oracle perf "), "{drifts:?}");
     }
 
     #[test]

@@ -23,9 +23,7 @@ use smt_collect::TraceReader;
 use smt_sched::{ControllerConfig, DynamicSmtController};
 use smt_sim::{Error, MachineConfig, SmtLevel};
 use smt_stats::table::{fnum, Table};
-use smtsm::{
-    LevelSelector, MetricSpec, ThresholdPredictor, DEFAULT_THRESHOLD_MID, DEFAULT_THRESHOLD_TOP,
-};
+use smtsm::{LevelSelector, MetricSpec, DEFAULT_THRESHOLD_MID, DEFAULT_THRESHOLD_TOP};
 
 use crate::manifest::ArchPolicy;
 
@@ -134,18 +132,11 @@ pub fn selector_for_machine(
     let top = *levels
         .last()
         .ok_or_else(|| Error::InvalidMachine("machine has no SMT levels".to_string()))?;
-    Ok(if top == SmtLevel::Smt4 {
-        LevelSelector::three_level(
-            ThresholdPredictor::fixed(policy.threshold_top),
-            ThresholdPredictor::fixed(policy.threshold_mid),
-        )
-    } else {
-        LevelSelector::two_level(
-            top,
-            SmtLevel::Smt1,
-            ThresholdPredictor::fixed(policy.threshold_top),
-        )
-    })
+    Ok(LevelSelector::ladder(
+        top,
+        policy.threshold_top,
+        policy.threshold_mid,
+    ))
 }
 
 /// Replay one trace through a fresh controller under `policy`.

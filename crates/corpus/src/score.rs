@@ -31,6 +31,7 @@ use std::path::Path;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use smt_sim::error::panic_message;
 use smt_sim::{Error, SmtLevel};
 
 use crate::manifest::{CorpusArch, CorpusEntry, CorpusManifest, SizeTier};
@@ -386,12 +387,10 @@ fn score_entry(
     let path = manifest.trace_path(manifest_path, entry);
     let replayed =
         catch_unwind(AssertUnwindSafe(|| replay_trace(&path, &policy))).unwrap_or_else(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic".to_string());
-            Err(Error::InvalidMeasurement(format!("replay panicked: {msg}")))
+            Err(Error::InvalidMeasurement(format!(
+                "replay panicked: {}",
+                panic_message(p.as_ref())
+            )))
         });
     match replayed {
         Ok(r) => {

@@ -17,11 +17,11 @@
 
 use serde::{Deserialize, Serialize};
 use smt_autotune::{AutotuneConfig, AutotuneLoop, SimActuator};
-use smt_sched::phase_oracle;
+use smt_sched::{oracle_sweep, phase_oracle};
 use smt_sim::{Error, MachineConfig, Simulation, SmtLevel};
 use smt_stats::table::{fnum, Table};
 use smt_workloads::{catalog, PhasedWorkload, WorkloadSpec};
-use smtsm::{LevelSelector, MetricSpec, ThresholdPredictor};
+use smtsm::{LevelSelector, MetricSpec};
 
 /// One scenario of the study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -157,13 +157,6 @@ impl PhasedWorkloadSpecs {
     }
 }
 
-fn selector(t_top: f64, t_mid: f64) -> LevelSelector {
-    LevelSelector::three_level(
-        ThresholdPredictor::fixed(t_top),
-        ThresholdPredictor::fixed(t_mid),
-    )
-}
-
 fn autotune_run(
     cfg: &MachineConfig,
     name: &str,
@@ -190,6 +183,7 @@ fn autotune_run(
 /// the Section-V scheduler demo).
 pub fn run(scale: f64, t_top: f64, t_mid: f64, max_cycles: u64) -> Result<AutotuneStudy, Error> {
     let cfg = MachineConfig::power7(1);
+    let sel = LevelSelector::ladder(cfg.arch.max_smt, t_top, t_mid);
     // Small windows relative to the scaled-down catalog sizes, so each
     // phase spans ~100 windows just as a production phase would span
     // hundreds of full-size windows.
@@ -210,52 +204,35 @@ pub fn run(scale: f64, t_top: f64, t_mid: f64, max_cycles: u64) -> Result<Autotu
         let phase_names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
 
         // Static baselines: the whole phased workload at each fixed level.
-        let mut static_perf = Vec::new();
-        for smt in cfg.smt_levels() {
-            let mut sim = Simulation::new(
-                cfg.clone(),
-                smt,
-                PhasedWorkload::new(name.clone(), specs.clone()),
-            );
-            let r = sim.run_until_finished(max_cycles);
-            if !r.completed {
-                return Err(Error::InvalidMeasurement(format!(
-                    "{name}: static {smt} run did not finish within {max_cycles} cycles"
-                )));
-            }
-            static_perf.push((smt, r.perf()));
+        let sweep = oracle_sweep(
+            &cfg,
+            || PhasedWorkload::new(name.clone(), specs.clone()),
+            max_cycles,
+        )?;
+        if let Some(l) = sweep.levels.iter().find(|l| !l.result.completed) {
+            return Err(Error::InvalidMeasurement(format!(
+                "{name}: static {} run did not finish within {max_cycles} cycles",
+                l.smt
+            )));
         }
-        let best_static = static_perf
+        let static_perf: Vec<(SmtLevel, f64)> = sweep
+            .levels
             .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one level");
+            .map(|l| (l.smt, l.result.perf()))
+            .collect();
+        let best_static = (sweep.best, sweep.best_perf()?);
 
         // Free-switching per-phase oracle.
         let oracle = phase_oracle(&cfg, &specs, max_cycles)?;
 
         // The closed loop, tuned and naive.
-        let (auto, drains) = autotune_run(
-            &cfg,
-            &name,
-            &specs,
-            selector(t_top, t_mid),
-            tune,
-            max_cycles,
-        )?;
+        let (auto, drains) = autotune_run(&cfg, &name, &specs, sel.clone(), tune, max_cycles)?;
         if !auto.completed {
             return Err(Error::InvalidMeasurement(format!(
                 "{name}: closed-loop run did not finish within {max_cycles} cycles"
             )));
         }
-        let (naive_run, _) = autotune_run(
-            &cfg,
-            &name,
-            &specs,
-            selector(t_top, t_mid),
-            naive,
-            max_cycles,
-        )?;
+        let (naive_run, _) = autotune_run(&cfg, &name, &specs, sel.clone(), naive, max_cycles)?;
 
         // Hard policy ceiling: at most one switch per cooldown interval,
         // doubled because a probe's recall answer rides inside the

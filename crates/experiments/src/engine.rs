@@ -21,6 +21,7 @@ use crate::cache::ResultCache;
 use crate::progress::{JobOutcome, NullSink, ProgressEvent, ProgressSink};
 use crate::runner::{measure_level, BenchResult, LevelMeasurement, ProtocolConfig};
 use rayon::prelude::*;
+use smt_sim::error::panic_message;
 use smt_sim::{Error, MachineConfig, SmtLevel};
 use smt_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
@@ -54,11 +55,6 @@ impl RunRequest {
         }
     }
 
-    /// Thin alias of [`RunRequest::on`], kept for one release.
-    pub fn new(machine: MachineConfig) -> RunRequest {
-        RunRequest::on(machine)
-    }
-
     /// Add one benchmark.
     pub fn benchmark(mut self, spec: WorkloadSpec) -> RunRequest {
         self.benchmarks.push(spec);
@@ -69,11 +65,6 @@ impl RunRequest {
     pub fn workloads(mut self, specs: impl IntoIterator<Item = WorkloadSpec>) -> RunRequest {
         self.benchmarks.extend(specs);
         self
-    }
-
-    /// Thin alias of [`RunRequest::workloads`], kept for one release.
-    pub fn benchmarks(self, specs: impl IntoIterator<Item = WorkloadSpec>) -> RunRequest {
-        self.workloads(specs)
     }
 
     /// Set the SMT levels every benchmark is measured at.
@@ -361,12 +352,6 @@ impl Engine {
         self
     }
 
-    /// Detach the result cache (every job simulates fresh).
-    pub fn without_cache(mut self) -> Engine {
-        self.cache = None;
-        self
-    }
-
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&ResultCache> {
         self.cache.as_ref()
@@ -542,24 +527,14 @@ struct JobResult {
     cache_errors: usize,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use smt_workloads::catalog;
 
     fn tiny_plan() -> RunPlan {
-        RunRequest::new(MachineConfig::generic(2))
-            .benchmarks([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
+        RunRequest::on(MachineConfig::generic(2))
+            .workloads([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
             .levels([SmtLevel::Smt1, SmtLevel::Smt2])
             .plan()
             .unwrap()
@@ -569,13 +544,13 @@ mod tests {
     fn plan_validates_inputs() {
         let machine = MachineConfig::generic(2);
         assert!(matches!(
-            RunRequest::new(machine.clone())
+            RunRequest::on(machine.clone())
                 .levels([SmtLevel::Smt1])
                 .plan(),
             Err(Error::InvalidWorkload(_))
         ));
         assert!(matches!(
-            RunRequest::new(machine.clone())
+            RunRequest::on(machine.clone())
                 .benchmark(catalog::ep())
                 .plan(),
             Err(Error::InvalidMachine(_))
@@ -583,14 +558,14 @@ mod tests {
         // generic machines are SMT2: SMT4 jobs must be rejected at plan
         // time, not blow up inside the simulator.
         assert!(matches!(
-            RunRequest::new(machine.clone())
+            RunRequest::on(machine.clone())
                 .benchmark(catalog::ep())
                 .levels([SmtLevel::Smt4])
                 .plan(),
             Err(Error::InvalidMachine(_))
         ));
-        let dup = RunRequest::new(machine)
-            .benchmarks([catalog::ep(), catalog::ep()])
+        let dup = RunRequest::on(machine)
+            .workloads([catalog::ep(), catalog::ep()])
             .levels([SmtLevel::Smt1])
             .plan();
         assert!(matches!(dup, Err(Error::InvalidWorkload(_))));
@@ -614,7 +589,7 @@ mod tests {
 
     #[test]
     fn all_levels_uses_machine_support() {
-        let plan = RunRequest::new(MachineConfig::generic(2))
+        let plan = RunRequest::on(MachineConfig::generic(2))
             .benchmark(catalog::ep().scaled(0.01))
             .all_levels()
             .plan()

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use smt_sim::{
     CoreCounters, IssueEngine, MachineConfig, PhaseProfile, RunResult, Simulation, SmtLevel,
-    Stepping, ThreadCounters,
+    Stepping, ThreadCounters, Workload as _,
 };
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 
@@ -149,7 +149,11 @@ proptest! {
 
 /// The phase profiler only reads the clock around each pipeline phase:
 /// a run sliced through `run_cycles_profiled` must leave the same cycle,
-/// counters and fast-forward jumps as `run_cycles` in the same slices.
+/// counters and fast-forward jumps as `run_cycles` in the same slices,
+/// and so must `run_until_finished`, which shares the same run driver.
+/// The profile itself must be charged through the whole stepping path:
+/// every phase that does work gets ticks, the cache walks in `try_issue`
+/// included.
 #[test]
 fn profiled_run_matches_plain_run() {
     const SLICE: u64 = 10_000;
@@ -161,20 +165,36 @@ fn profiled_run_matches_plain_run() {
             let mk = || Simulation::new(cfg.clone(), smt, SyntheticWorkload::new(spec.clone()));
             let mut plain = mk();
             let mut profiled = mk();
+            let mut until = mk();
             let mut prof = PhaseProfile::default();
             while !plain.finished() && plain.now() < MAX_CYCLES {
                 let a = plain.run_cycles(SLICE);
                 let b = profiled.run_cycles_profiled(SLICE, &mut prof);
+                let r = until.run_until_finished(SLICE);
                 assert_eq!(a, b, "{} at {smt}", spec.name);
-                assert_eq!(plain.now(), profiled.now());
-                assert_eq!(plain.thread_counters(), profiled.thread_counters());
-                assert_eq!(plain.core_counters(), profiled.core_counters());
-                assert_eq!(plain.idle_cycles_skipped(), profiled.idle_cycles_skipped());
-                assert_eq!(plain.stall_cycles_elided(), profiled.stall_cycles_elided());
+                assert_eq!(a, r.cycles, "{} at {smt}", spec.name);
+                assert_eq!(r.completed, plain.finished());
+                assert_eq!(r.work_done, plain.workload().work_done());
+                for sim in [&profiled, &until] {
+                    assert_eq!(plain.now(), sim.now());
+                    assert_eq!(plain.thread_counters(), sim.thread_counters());
+                    assert_eq!(plain.core_counters(), sim.core_counters());
+                    assert_eq!(plain.idle_cycles_skipped(), sim.idle_cycles_skipped());
+                    assert_eq!(plain.stall_cycles_elided(), sim.stall_cycles_elided());
+                }
             }
             assert!(plain.finished(), "{} at {smt} hit the cycle cap", spec.name);
             assert!(profiled.finished());
             assert!(prof.steps > 0, "the profiler timed no core-steps");
+            assert_eq!(prof.cycles, profiled.now());
+            for (phase, ticks) in [
+                ("issue", prof.issue),
+                ("mem", prof.mem),
+                ("dispatch", prof.dispatch),
+                ("fetch", prof.fetch),
+            ] {
+                assert!(ticks > 0, "{} at {smt}: no {phase} ticks", spec.name);
+            }
         }
     }
 }

@@ -17,8 +17,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn tiny_plan() -> smt_experiments::RunPlan {
-    RunRequest::new(MachineConfig::generic(2))
-        .benchmarks([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
+    RunRequest::on(MachineConfig::generic(2))
+        .workloads([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
         .levels([SmtLevel::Smt1, SmtLevel::Smt2])
         .plan()
         .expect("valid plan")
@@ -66,8 +66,8 @@ fn changing_the_protocol_invalidates_the_cache() {
     let engine = Engine::new().with_cache(ResultCache::new(&dir));
     engine.run(&plan);
 
-    let other = RunRequest::new(MachineConfig::generic(2))
-        .benchmarks([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
+    let other = RunRequest::on(MachineConfig::generic(2))
+        .workloads([catalog::ep().scaled(0.01), catalog::ssca2().scaled(0.01)])
         .levels([SmtLevel::Smt1, SmtLevel::Smt2])
         .protocol(ProtocolConfig {
             window_cycles: 40_000,
@@ -112,8 +112,8 @@ fn one_capped_job_does_not_poison_the_sweep() {
         window_cycles: 5_000,
         max_run_cycles: 50_000,
     };
-    let plan = RunRequest::new(MachineConfig::generic(2))
-        .benchmarks([catalog::ep().scaled(0.01), catalog::cg_mpi().scaled(0.2)])
+    let plan = RunRequest::on(MachineConfig::generic(2))
+        .workloads([catalog::ep().scaled(0.01), catalog::cg_mpi().scaled(0.2)])
         .levels([SmtLevel::Smt1])
         .protocol(protocol)
         .plan()

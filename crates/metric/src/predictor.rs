@@ -132,6 +132,25 @@ impl LevelSelector {
         }
     }
 
+    /// The fixed-threshold ladder for a machine whose top level is `top`:
+    /// SMT4-vs-SMT2 at `threshold_top` then SMT2-vs-SMT1 at
+    /// `threshold_mid` when `top` is SMT4, otherwise top-vs-SMT1 at
+    /// `threshold_top`.
+    pub fn ladder(top: SmtLevel, threshold_top: f64, threshold_mid: f64) -> LevelSelector {
+        if top == SmtLevel::Smt4 {
+            LevelSelector::three_level(
+                ThresholdPredictor::fixed(threshold_top),
+                ThresholdPredictor::fixed(threshold_mid),
+            )
+        } else {
+            LevelSelector::two_level(
+                top,
+                SmtLevel::Smt1,
+                ThresholdPredictor::fixed(threshold_top),
+            )
+        }
+    }
+
     /// Recommend a level from a metric value measured at the top level.
     pub fn recommend(&self, metric: f64) -> SmtLevel {
         for (level, p) in &self.rungs {
@@ -204,6 +223,18 @@ mod tests {
         );
         assert_eq!(sel.recommend(0.01), SmtLevel::Smt2);
         assert_eq!(sel.recommend(0.09), SmtLevel::Smt1);
+    }
+
+    #[test]
+    fn ladder_follows_the_top_level() {
+        let p7 = LevelSelector::ladder(SmtLevel::Smt4, 0.07, 0.15);
+        assert_eq!(p7.recommend(0.01), SmtLevel::Smt4);
+        assert_eq!(p7.recommend(0.10), SmtLevel::Smt2);
+        assert_eq!(p7.recommend(0.30), SmtLevel::Smt1);
+        let nhm = LevelSelector::ladder(SmtLevel::Smt2, 0.07, 0.15);
+        assert_eq!(nhm.rungs.len(), 1);
+        assert_eq!(nhm.recommend(0.01), SmtLevel::Smt2);
+        assert_eq!(nhm.recommend(0.10), SmtLevel::Smt1);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use smt_sim::error::panic_message;
 use smt_sim::Error;
 
 use crate::codec::codec_for;
@@ -1036,15 +1037,5 @@ fn verb_of(response: &Response) -> &'static str {
         Response::Stats(_) => "stats",
         Response::Bye => "shutdown",
         Response::Error { .. } => "error",
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }

@@ -17,9 +17,7 @@ use smt_sched::{
     SearchStrategy,
 };
 use smt_sim::{Error, MachineConfig, SmtLevel, WindowMeasurement};
-use smtsm::{
-    smtsm_factors, LevelSelector, MetricSpec, SmtsmFactors, ThreadSignature, ThresholdPredictor,
-};
+use smtsm::{smtsm_factors, LevelSelector, MetricSpec, SmtsmFactors, ThreadSignature};
 
 use crate::protocol::{ErrorCode, IngestSummary, SessionSpec, PROTOCOL_VERSION};
 
@@ -100,18 +98,7 @@ impl Session {
             .smt_levels()
             .last()
             .ok_or_else(|| Error::InvalidMachine("machine has no SMT levels".to_string()))?;
-        let selector = if top == SmtLevel::Smt4 {
-            LevelSelector::three_level(
-                ThresholdPredictor::fixed(spec.threshold),
-                ThresholdPredictor::fixed(spec.mid),
-            )
-        } else {
-            LevelSelector::two_level(
-                top,
-                SmtLevel::Smt1,
-                ThresholdPredictor::fixed(spec.threshold),
-            )
-        };
+        let selector = LevelSelector::ladder(top, spec.threshold, spec.mid);
         let metric_spec = MetricSpec::for_arch(&machine.arch);
         let cfg = ControllerConfig {
             window_cycles: spec.window_cycles,

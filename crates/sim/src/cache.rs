@@ -296,6 +296,9 @@ impl MemorySystem {
     /// Walk an access through the hierarchy, filling lines on the way, and
     /// return the outcome. `remote` marks data homed on a remote chip
     /// (meaningful only on multi-chip machines).
+    // Always inlined: the plain and the profiled `Core::try_issue` both
+    // call it, and as an out-of-line call it slows the plain issue stage.
+    #[inline(always)]
     pub fn access(&mut self, core: usize, addr: u64, remote: bool, now: u64) -> AccessOutcome {
         let mut out = AccessOutcome::default();
         if self.l1[core].access(addr) {
@@ -328,11 +331,6 @@ impl MemorySystem {
     /// Memory-channel backlog of a chip, for diagnostics.
     pub fn backlog(&self, chip: usize, now: u64) -> u64 {
         self.ctrl[chip].backlog(now)
-    }
-
-    /// Total memory requests served by all controllers.
-    pub fn total_mem_requests(&self) -> u64 {
-        self.ctrl.iter().map(|c| c.requests).sum()
     }
 }
 

@@ -43,7 +43,7 @@ use crate::branch::BranchPredictor;
 use crate::cache::MemorySystem;
 use crate::counters::{CoreCounters, ThreadCounters};
 use crate::isa::{Fetched, Instr, InstrClass, NUM_CLASSES};
-use crate::profile::{self, PhaseProfile};
+use crate::profile::Phases;
 use crate::soa::{self, IssueEngine, SoaQueue};
 use crate::workload::Workload;
 use std::collections::VecDeque;
@@ -412,6 +412,16 @@ impl QueueBank {
     }
 }
 
+/// Charge the cache-walk ticks since `t0` to the `mem` bucket (a no-op
+/// for plain steps).
+#[inline(always)]
+fn charge_mem<P: Phases>(phases: &mut P, t0: u64) {
+    let t1 = phases.stamp();
+    if let Some(prof) = phases.profile() {
+        prof.mem += t1 - t0;
+    }
+}
+
 /// Outcome of [`Core::try_issue`] for one candidate entry.
 enum TryIssue {
     /// No compatible free port this cycle; the entry stays queued and
@@ -469,11 +479,6 @@ pub struct Core {
     caps_for_active: usize,
     /// Optional per-core gshare predictor (shared by the hardware threads).
     bpred: Option<BranchPredictor>,
-    /// Timing a profiled step: `try_issue` attributes cache-walk ticks.
-    profiling: bool,
-    /// Cache-walk ticks accumulated during the current profiled issue
-    /// phase.
-    prof_mem_ticks: u64,
     /// Core-level counters.
     pub counters: CoreCounters,
 }
@@ -571,8 +576,6 @@ impl Core {
             held_mask: 0,
             caps_for_active: 0,
             bpred: arch.branch_predictor.map(BranchPredictor::new),
-            profiling: false,
-            prof_mem_ticks: 0,
             counters: CoreCounters::default(),
         }
     }
@@ -838,35 +841,13 @@ impl Core {
     /// rejected loads and stores. Either is the precondition
     /// [`Simulation`](crate::machine::Simulation) uses before asking
     /// [`Core::quiet_until`] how far it can fast-forward.
-    pub fn step<W: Workload + ?Sized>(
-        &mut self,
-        arch: &ArchDescriptor,
-        now: u64,
-        mode: StepMode,
-        workload: &mut W,
-        mem: &mut MemorySystem,
-        sw: &mut [ThreadCounters],
-    ) -> u32 {
-        let mut activity = self.wake_and_retire(now);
-        self.refresh_dynamic_caps(arch);
-        activity += self.issue(arch, now, mem, sw);
-        activity += self.dispatch(arch, now, mode, sw);
-        if mode == StepMode::Normal {
-            activity += self.fetch(arch, now, workload, mem, sw);
-        }
-        self.account(now, sw);
-        #[cfg(debug_assertions)]
-        self.check_invariants();
-        activity
-    }
-
-    /// [`Core::step`] with per-phase tick attribution into `prof`. Runs
-    /// the exact same phases (architectural state and counters advance
-    /// identically); the only addition is timestamping, plus cache-walk
-    /// ticks being split out of the issue phase via the issue slow path's
-    /// profiling hook.
+    ///
+    /// `phases` receives the step's per-phase timing: pass `()` for a
+    /// plain step, a [`PhaseProfile`](crate::profile::PhaseProfile) to
+    /// time it. Timing never changes what is simulated. Cache-walk ticks
+    /// are charged in `try_issue` and split out of the issue phase.
     #[allow(clippy::too_many_arguments)]
-    pub fn step_profiled<W: Workload + ?Sized>(
+    pub fn step<W: Workload + ?Sized, P: Phases>(
         &mut self,
         arch: &ArchDescriptor,
         now: u64,
@@ -874,34 +855,33 @@ impl Core {
         workload: &mut W,
         mem: &mut MemorySystem,
         sw: &mut [ThreadCounters],
-        prof: &mut PhaseProfile,
+        phases: &mut P,
     ) -> u32 {
-        self.profiling = true;
-        self.prof_mem_ticks = 0;
-        let t0 = profile::ticks();
+        let t0 = phases.stamp();
+        let mem0 = phases.profile().map_or(0, |p| p.mem);
         let mut activity = self.wake_and_retire(now);
         self.refresh_dynamic_caps(arch);
-        let t1 = profile::ticks();
-        activity += self.issue(arch, now, mem, sw);
-        let t2 = profile::ticks();
+        let t1 = phases.stamp();
+        activity += self.issue(arch, now, mem, sw, phases);
+        let t2 = phases.stamp();
         activity += self.dispatch(arch, now, mode, sw);
-        let t3 = profile::ticks();
+        let t3 = phases.stamp();
         if mode == StepMode::Normal {
             activity += self.fetch(arch, now, workload, mem, sw);
         }
-        let t4 = profile::ticks();
+        let t4 = phases.stamp();
         self.account(now, sw);
         #[cfg(debug_assertions)]
         self.check_invariants();
-        let t5 = profile::ticks();
-        self.profiling = false;
-        prof.retire += t1 - t0;
-        prof.issue += (t2 - t1).saturating_sub(self.prof_mem_ticks);
-        prof.mem += self.prof_mem_ticks;
-        prof.dispatch += t3 - t2;
-        prof.fetch += t4 - t3;
-        prof.bookkeeping += t5 - t4;
-        prof.steps += 1;
+        let t5 = phases.stamp();
+        if let Some(prof) = phases.profile() {
+            prof.retire += t1 - t0;
+            prof.issue += (t2 - t1).saturating_sub(prof.mem - mem0);
+            prof.dispatch += t3 - t2;
+            prof.fetch += t4 - t3;
+            prof.bookkeeping += t5 - t4;
+            prof.steps += 1;
+        }
         activity
     }
 
@@ -960,12 +940,13 @@ impl Core {
 
     /// The issue stage: detach the queue bank (so the engines can borrow
     /// the queues and `self` disjointly) and run the engine it encodes.
-    fn issue(
+    fn issue<P: Phases>(
         &mut self,
         arch: &ArchDescriptor,
         now: u64,
         mem: &mut MemorySystem,
         sw: &mut [ThreadCounters],
+        phases: &mut P,
     ) -> u32 {
         self.port_used = 0;
         self.queue_lmq_reject = 0;
@@ -974,22 +955,26 @@ impl Core {
         // stores each way.
         let mut bank = std::mem::replace(&mut self.bank, QueueBank::Legacy(Vec::new()));
         let activity = match &mut bank {
-            QueueBank::Legacy(qs) => self.issue_legacy(qs, arch, now, mem, sw),
-            QueueBank::Soa(qs) => self.issue_soa(qs, arch, now, mem, sw),
+            QueueBank::Legacy(qs) => self.issue_legacy(qs, arch, now, mem, sw, phases),
+            QueueBank::Soa(qs) => self.issue_soa(qs, arch, now, mem, sw, phases),
         };
-        self.bank = bank;
+        // Forget the placeholder rather than drop it: it owns nothing, and
+        // the drop glue is an out-of-line call once `issue` has a plain and
+        // a profiled instance.
+        std::mem::forget(std::mem::replace(&mut self.bank, bank));
         self.step_rejections = (self.counters.lmq_rejections - rejections_before) as u32;
         activity
     }
 
     /// The reference per-entry scan over `VecDeque<QEntry>` queues.
-    fn issue_legacy(
+    fn issue_legacy<P: Phases>(
         &mut self,
         qs: &mut [IssueQueue],
         arch: &ArchDescriptor,
         now: u64,
         mem: &mut MemorySystem,
         sw: &mut [ThreadCounters],
+        phases: &mut P,
     ) -> u32 {
         let mut activity = 0;
         // Indexing (not `iter_mut`) because the body re-borrows `qs[qi]` in
@@ -1099,12 +1084,13 @@ impl Core {
                     qs[qi].entries[i].ready_at = now.max(1);
                 }
                 let e = qs[qi].entries[i];
-                match self.try_issue(arch, qi, e.hw as usize, e.seq, e.instr, now, mem, sw) {
+                let hw = e.hw as usize;
+                match self.try_issue(arch, qi, hw, e.seq, e.instr, now, mem, sw, phases) {
                     TryIssue::Issued => {
                         let q = &mut qs[qi];
                         q.entries[i].hw = TOMBSTONE;
                         q.dead += 1;
-                        q.per_thread[e.hw as usize] -= 1;
+                        q.per_thread[hw] -= 1;
                         activity += 1;
                     }
                     TryIssue::LmqReject => activity += 1,
@@ -1130,13 +1116,14 @@ impl Core {
     /// the candidate bits, in age order — the same inspection order and
     /// transitions as [`Core::issue_legacy`], proven bit-identical by the
     /// differential suite.
-    fn issue_soa(
+    fn issue_soa<P: Phases>(
         &mut self,
         qs: &mut [SoaQueue],
         arch: &ArchDescriptor,
         now: u64,
         mem: &mut MemorySystem,
         sw: &mut [ThreadCounters],
+        phases: &mut P,
     ) -> u32 {
         let mut activity = 0;
         for qi in 0..qs.len() {
@@ -1235,7 +1222,7 @@ impl Core {
                         qs[qi].set_ready_at(slot, now.max(1));
                     }
                     all_waiting = false;
-                    match self.try_issue(arch, qi, hw, seq, instr, now, mem, sw) {
+                    match self.try_issue(arch, qi, hw, seq, instr, now, mem, sw, phases) {
                         TryIssue::Issued => {
                             qs[qi].tombstone(slot, hw);
                             activity += 1;
@@ -1284,7 +1271,10 @@ impl Core {
     /// very word this cycle (younger than the producer and visible) for
     /// the caller to add to its candidates; later words and queues pick
     /// the rest up through their cleared bits, earlier ones next cycle.
+    // Always inlined: the plain and the profiled issue stage both call it,
+    // and as an out-of-line call it slows the plain scan.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn wake(
         &mut self,
         qs: &mut [SoaQueue],
@@ -1324,7 +1314,7 @@ impl Core {
     /// caller owns queue storage and removes the entry on
     /// [`TryIssue::Issued`].
     #[allow(clippy::too_many_arguments)]
-    fn try_issue(
+    fn try_issue<P: Phases>(
         &mut self,
         arch: &ArchDescriptor,
         qi: usize,
@@ -1334,6 +1324,7 @@ impl Core {
         now: u64,
         mem: &mut MemorySystem,
         sw: &mut [ThreadCounters],
+        phases: &mut P,
     ) -> TryIssue {
         // Pick a free compatible port (and its pair for stores). Port
         // indices ascend within a queue, so the lowest set bit of the
@@ -1372,22 +1363,18 @@ impl Core {
         let completion;
         match instr.class {
             InstrClass::Load | InstrClass::Store => {
-                let t0 = if self.profiling { profile::ticks() } else { 0 };
+                let t0 = phases.stamp();
                 let l1_hit = mem.probe_l1(self.id, instr.addr);
                 if !l1_hit && self.lmq.len() >= self.lmq_capacity {
                     // No miss slot: the access cannot issue this cycle;
                     // leave it queued.
-                    if self.profiling {
-                        self.prof_mem_ticks += profile::ticks() - t0;
-                    }
+                    charge_mem(phases, t0);
                     self.counters.lmq_rejections += 1;
                     self.queue_lmq_reject |= 1 << qi;
                     return TryIssue::LmqReject;
                 }
                 let out = mem.access(self.id, instr.addr, instr.remote, now);
-                if self.profiling {
-                    self.prof_mem_ticks += profile::ticks() - t0;
-                }
+                charge_mem(phases, t0);
                 if instr.class == InstrClass::Load {
                     completion = now + out.latency;
                     if out.l1_miss {
@@ -1884,7 +1871,7 @@ mod tests {
     ) -> u64 {
         let mut mem = mem_system(1);
         for now in 0..max_cycles {
-            core.step(arch, now, StepMode::Normal, workload, &mut mem, sw);
+            core.step(arch, now, StepMode::Normal, workload, &mut mem, sw, &mut ());
             if workload.finished() && core.drained() {
                 return now + 1;
             }
@@ -2045,7 +2032,15 @@ mod tests {
         let mut sw = vec![ThreadCounters::new(arch.num_ports()); 1];
         let mut mem = mem_system(1);
         for now in 0..300 {
-            core.step(&arch, now, StepMode::Normal, &mut w, &mut mem, &mut sw);
+            core.step(
+                &arch,
+                now,
+                StepMode::Normal,
+                &mut w,
+                &mut mem,
+                &mut sw,
+                &mut (),
+            );
         }
         assert_eq!(sw[0].issued, 1);
         assert!(sw[0].sleep_cycles >= 90, "sleep={}", sw[0].sleep_cycles);
@@ -2151,13 +2146,29 @@ mod tests {
         let mut mem = mem_system(1);
         // Fill the pipeline a bit.
         for now in 0..5 {
-            core.step(&arch, now, StepMode::Normal, &mut w, &mut mem, &mut sw);
+            core.step(
+                &arch,
+                now,
+                StepMode::Normal,
+                &mut w,
+                &mut mem,
+                &mut sw,
+                &mut (),
+            );
         }
         let fetched_before = sw[0].fetched;
         assert!(fetched_before > 0);
         // Drain: no new fetch, everything in flight completes.
         for now in 5..500 {
-            core.step(&arch, now, StepMode::Drain, &mut w, &mut mem, &mut sw);
+            core.step(
+                &arch,
+                now,
+                StepMode::Drain,
+                &mut w,
+                &mut mem,
+                &mut sw,
+                &mut (),
+            );
             if core.drained() {
                 break;
             }
@@ -2239,8 +2250,24 @@ mod tests {
         let mut ma = mem_system(1);
         let mut mb = mem_system(1);
         for now in 0..200_000u64 {
-            let aa = ca.step(&arch, now, StepMode::Normal, &mut wa, &mut ma, &mut sa);
-            let ab = cb.step(&arch, now, StepMode::Normal, &mut wb, &mut mb, &mut sb);
+            let aa = ca.step(
+                &arch,
+                now,
+                StepMode::Normal,
+                &mut wa,
+                &mut ma,
+                &mut sa,
+                &mut (),
+            );
+            let ab = cb.step(
+                &arch,
+                now,
+                StepMode::Normal,
+                &mut wb,
+                &mut mb,
+                &mut sb,
+                &mut (),
+            );
             assert_eq!(aa, ab, "activity diverged at cycle {now}");
             assert_eq!(sa, sb, "thread counters diverged at cycle {now}");
             ca.check_invariants();
@@ -2285,8 +2312,24 @@ mod tests {
         let mut mb = mem_system(1);
         for now in 0..1_000_000u64 {
             let before = cb.clone();
-            let aa = ca.step(arch, now, StepMode::Normal, &mut wa, &mut ma, &mut sa);
-            let ab = cb.step(arch, now, StepMode::Normal, &mut wb, &mut mb, &mut sb);
+            let aa = ca.step(
+                arch,
+                now,
+                StepMode::Normal,
+                &mut wa,
+                &mut ma,
+                &mut sa,
+                &mut (),
+            );
+            let ab = cb.step(
+                arch,
+                now,
+                StepMode::Normal,
+                &mut wb,
+                &mut mb,
+                &mut sb,
+                &mut (),
+            );
             assert_eq!(aa, ab, "activity diverged at cycle {now}");
             assert_eq!(sa, sb, "thread counters diverged at cycle {now}");
             ca.check_invariants();

@@ -360,14 +360,6 @@ impl WindowMeasurement {
         let other = (1.0 - used - held).max(0.0);
         (used, held, other)
     }
-
-    /// Useful work per cycle — the performance measure used for speedups.
-    pub fn work_per_cycle(&self) -> f64 {
-        if self.wall_cycles == 0 {
-            return 0.0;
-        }
-        self.total_work() as f64 / self.wall_cycles as f64
-    }
 }
 
 #[cfg(test)]

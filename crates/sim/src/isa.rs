@@ -147,12 +147,6 @@ impl Instr {
         }
     }
 
-    /// Set the branch outcome (builder style; used by the predictor model).
-    pub fn with_outcome(mut self, taken: bool) -> Instr {
-        self.taken = taken;
-        self
-    }
-
     /// Set the register-dependency distance (builder style).
     pub fn with_dep(mut self, dep_dist: u8) -> Instr {
         self.dep_dist = dep_dist.min((DEP_WINDOW - 1) as u8);

@@ -14,7 +14,7 @@ use crate::cache::{CacheConfig, MemConfig, MemorySystem};
 use crate::core::{Core, StepMode};
 use crate::counters::{CoreCounters, ThreadCounters, WindowMeasurement};
 use crate::error::Error;
-use crate::profile::PhaseProfile;
+use crate::profile::{PhaseProfile, Phases};
 use crate::soa::IssueEngine;
 use crate::workload::Workload;
 use serde::{Deserialize, Serialize};
@@ -429,12 +429,6 @@ impl<W: Workload> Simulation<W> {
         self.stall_elided
     }
 
-    /// Advance a single cycle.
-    pub fn step(&mut self) {
-        self.step_once();
-        self.settle_idle_debt();
-    }
-
     /// Charge every core's outstanding idle debt in one batched call per
     /// core. After this, counters reflect all `self.now` cycles exactly.
     fn settle_idle_debt(&mut self) {
@@ -448,9 +442,10 @@ impl<W: Workload> Simulation<W> {
         }
     }
 
-    /// Advance one cycle and report the machine-wide activity count (zero
-    /// means every core's cycle was provably a no-op).
-    fn step_once(&mut self) -> u32 {
+    /// Advance one cycle, timing core-steps into `phases`, and report the
+    /// machine-wide activity count (zero means every core's cycle was
+    /// provably a no-op).
+    fn step_once<P: Phases>(&mut self, phases: &mut P) -> u32 {
         let fast = self.stepping == Stepping::FastForward;
         let mut activity = 0;
         for (i, core) in self.cores.iter_mut().enumerate() {
@@ -479,6 +474,7 @@ impl<W: Workload> Simulation<W> {
                 &mut self.workload,
                 &mut self.mem,
                 &mut self.sw,
+                phases,
             );
             if fast {
                 self.quiet_cache[i] = quiet_mark(core, &self.cfg.arch, &self.mem, self.now, act);
@@ -529,13 +525,40 @@ impl<W: Workload> Simulation<W> {
     /// Run exactly `n` cycles (or fewer if the workload finishes).
     /// Returns cycles actually run.
     pub fn run_cycles(&mut self, n: u64) -> u64 {
+        self.run(n, &mut ())
+    }
+
+    /// Like [`run_cycles`](Self::run_cycles), but timestamps every pipeline
+    /// phase of every core-step and accumulates the tick deltas into
+    /// `prof`. Used by `repro perf`; not meant for throughput
+    /// measurement (see the [`crate::profile`] overhead note).
+    pub fn run_cycles_profiled(&mut self, n: u64, prof: &mut PhaseProfile) -> u64 {
+        let ran = self.run(n, prof);
+        prof.cycles += ran;
+        ran
+    }
+
+    /// Run until the workload completes or `max_cycles` elapse.
+    pub fn run_until_finished(&mut self, max_cycles: u64) -> RunResult {
+        let cycles = self.run_cycles(max_cycles);
+        RunResult {
+            cycles,
+            work_done: self.workload.work_done(),
+            completed: self.finished(),
+        }
+    }
+
+    /// The one run driver: step up to `n` cycles (stopping early once the
+    /// workload finishes), fast-forwarding after zero-activity cycles, then
+    /// settle idle debt so counters are exact. Returns cycles run.
+    fn run<P: Phases>(&mut self, n: u64, phases: &mut P) -> u64 {
         let start = self.now;
         let end = start.saturating_add(n);
         if self.finished() {
             return 0;
         }
         while self.now < end {
-            let activity = self.step_once();
+            let activity = self.step_once(phases);
             if activity > 0 {
                 // `finished()` can only change on a cycle that did work,
                 // so quiet cycles skip the (all-cores) drain scan.
@@ -548,88 +571,6 @@ impl<W: Workload> Simulation<W> {
         }
         self.settle_idle_debt();
         self.now - start
-    }
-
-    /// Like [`run_cycles`](Self::run_cycles), but timestamps every pipeline
-    /// phase of every core-step and accumulates the tick deltas into
-    /// `prof`. Used by `repro perf`; not meant for throughput
-    /// measurement (see the [`crate::profile`] overhead note).
-    pub fn run_cycles_profiled(&mut self, n: u64, prof: &mut PhaseProfile) -> u64 {
-        let start = self.now;
-        let end = start.saturating_add(n);
-        if self.finished() {
-            return 0;
-        }
-        while self.now < end {
-            let activity = self.step_once_profiled(prof);
-            if activity > 0 {
-                if self.finished() {
-                    break;
-                }
-            } else if self.stepping == Stepping::FastForward && self.now < end {
-                self.fast_forward_to(end);
-            }
-        }
-        self.settle_idle_debt();
-        prof.cycles += self.now - start;
-        self.now - start
-    }
-
-    /// Profiled twin of [`step_once`](Self::step_once).
-    fn step_once_profiled(&mut self, prof: &mut PhaseProfile) -> u32 {
-        let fast = self.stepping == Stepping::FastForward;
-        let mut activity = 0;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if fast && self.quiet_cache[i] > self.now {
-                self.idle_debt[i] += 1;
-                continue;
-            }
-            settle(
-                core,
-                &mut self.idle_debt[i],
-                &mut self.sw,
-                &mut self.stall_elided,
-            );
-            let act = core.step_profiled(
-                &self.cfg.arch,
-                self.now,
-                StepMode::Normal,
-                &mut self.workload,
-                &mut self.mem,
-                &mut self.sw,
-                prof,
-            );
-            if fast {
-                self.quiet_cache[i] = quiet_mark(core, &self.cfg.arch, &self.mem, self.now, act);
-            }
-            activity += act;
-        }
-        self.now += 1;
-        activity
-    }
-
-    /// Run until the workload completes or `max_cycles` elapse.
-    pub fn run_until_finished(&mut self, max_cycles: u64) -> RunResult {
-        let start = self.now;
-        let end = start.saturating_add(max_cycles);
-        if !self.finished() {
-            while self.now < end {
-                let activity = self.step_once();
-                if activity > 0 {
-                    if self.finished() {
-                        break;
-                    }
-                } else if self.stepping == Stepping::FastForward && self.now < end {
-                    self.fast_forward_to(end);
-                }
-            }
-        }
-        self.settle_idle_debt();
-        RunResult {
-            cycles: self.now - start,
-            work_done: self.workload.work_done(),
-            completed: self.finished(),
-        }
     }
 
     /// Aggregate core counters over all cores.
@@ -692,6 +633,7 @@ impl<W: Workload> Simulation<W> {
                     &mut self.workload,
                     &mut self.mem,
                     &mut self.sw,
+                    &mut (),
                 );
             }
             self.now += 1;

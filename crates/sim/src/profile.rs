@@ -10,6 +10,12 @@
 //! bookkeeping — without external tooling, so perf PRs can see their
 //! target before and their effect after.
 //!
+//! There is one stepping path. [`Core::step`](crate::core::Core::step)
+//! and the run driver behind `run_cycles` are generic over [`Phases`]:
+//! plain runs pass `()`, whose stamps are a constant 0 and whose profile
+//! is `None`, so the timing code compiles away; profiled runs pass a
+//! [`PhaseProfile`].
+//!
 //! Overhead note: a phase boundary is one `rdtsc` (~10 ns), five per
 //! simulated core-cycle, so profiled runs are slower than plain runs and
 //! their absolute cycles/sec is *not* a speed measurement; the repository
@@ -72,6 +78,39 @@ impl PhaseProfile {
             ("fetch", self.fetch),
             ("bookkeeping", self.bookkeeping),
         ]
+    }
+}
+
+/// Where a core-step's phase timing goes: nowhere for `()` (plain runs),
+/// into the buckets for [`PhaseProfile`].
+pub trait Phases {
+    /// A timestamp at a phase boundary: [`ticks`] when timing, else 0.
+    fn stamp(&self) -> u64;
+    /// The buckets to charge, or `None` when not timing.
+    fn profile(&mut self) -> Option<&mut PhaseProfile>;
+}
+
+impl Phases for () {
+    #[inline(always)]
+    fn stamp(&self) -> u64 {
+        0
+    }
+
+    #[inline(always)]
+    fn profile(&mut self) -> Option<&mut PhaseProfile> {
+        None
+    }
+}
+
+impl Phases for PhaseProfile {
+    #[inline(always)]
+    fn stamp(&self) -> u64 {
+        ticks()
+    }
+
+    #[inline(always)]
+    fn profile(&mut self) -> Option<&mut PhaseProfile> {
+        Some(self)
     }
 }
 

@@ -192,14 +192,6 @@ impl DepProfile {
             max_dist: 6,
         }
     }
-
-    /// Long serial chains (pointer chasing, recurrences).
-    pub fn chain_bound() -> DepProfile {
-        DepProfile {
-            prob: 0.95,
-            max_dist: 2,
-        }
-    }
 }
 
 /// Memory-address generation pattern.
