@@ -29,7 +29,7 @@ use smt_sim::{Error, SmtLevel};
 use smtsm::SmtsmFactors;
 
 use crate::protocol::{
-    decode_line, encode_line, CodecKind, ErrorCode, IngestSummary, Request, Response, SessionSpec,
+    decode_line, write_line, CodecKind, ErrorCode, IngestSummary, Request, Response, SessionSpec,
     StatsReport,
 };
 
@@ -102,13 +102,11 @@ impl Codec for NdjsonCodec {
     }
 
     fn encode_request(&self, request: &Request, out: &mut Vec<u8>) -> Result<(), Error> {
-        out.extend_from_slice(encode_line(request)?.as_bytes());
-        Ok(())
+        write_line(request, out)
     }
 
     fn encode_response(&self, response: &Response, out: &mut Vec<u8>) -> Result<(), Error> {
-        out.extend_from_slice(encode_line(response)?.as_bytes());
-        Ok(())
+        write_line(response, out)
     }
 
     fn split_frame(&self, buf: &[u8]) -> Result<Option<Frame>, Error> {

@@ -6,12 +6,12 @@
 //! revision *and* the [`CodecKind`] it wants for the rest of the
 //! connection; the server's `welcome` echoes the codec it granted, and
 //! both sides switch immediately after that exchange. Old clients that
-//! never heard of codecs simply omit the field — the hand-written
-//! [`serde::Deserialize`] impls below default it to [`CodecKind::Ndjson`],
-//! so the PR 4 wire format keeps working byte-for-byte.
+//! never heard of codecs simply omit the field — it is
+//! `#[serde(default)]`, so decoding defaults it to [`CodecKind::Ndjson`]
+//! and the revision-1 wire format keeps working byte-for-byte.
 //!
 //! The actual byte formats live in [`crate::codec`]: [`NdjsonCodec`] is
-//! this module's `encode_line`/`decode_line` behind the [`Codec`] trait,
+//! this module's `write_line`/`decode_line` behind the [`Codec`] trait,
 //! and [`BinaryCodec`] is a length-prefixed FNV-1a-checksummed framing in
 //! the `.smtc` trace-record idiom. The protocol is strictly
 //! request/response in order under both codecs, so a client can pipeline
@@ -47,7 +47,7 @@ pub const PROTOCOL_VERSION: u32 = 3;
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
 /// Wire format for everything after the `hello`/`welcome` exchange.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, serde::Deserialize)]
 pub enum CodecKind {
     /// Newline-delimited JSON — the PR 4 format, and what every
     /// connection speaks until negotiation.
@@ -55,18 +55,6 @@ pub enum CodecKind {
     Ndjson,
     /// Length-prefixed binary frames with an FNV-1a checksum.
     Binary,
-}
-
-impl serde::Deserialize for CodecKind {
-    fn from_value(v: &serde::Value) -> Result<CodecKind, serde::DeError> {
-        match v.as_str() {
-            Some("Ndjson") => Ok(CodecKind::Ndjson),
-            Some("Binary") => Ok(CodecKind::Binary),
-            _ => Err(serde::DeError::custom(format!(
-                "unknown codec {v:?} (expected \"Ndjson\" or \"Binary\")"
-            ))),
-        }
-    }
 }
 
 impl std::str::FromStr for CodecKind {
@@ -133,7 +121,7 @@ impl SessionSpec {
 }
 
 /// One client request.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub enum Request {
     /// Open a session with the given decision parameters.
     Hello {
@@ -143,6 +131,7 @@ pub enum Request {
         spec: SessionSpec,
         /// Wire format the client wants after `welcome`. Old clients omit
         /// it; decoding defaults to [`CodecKind::Ndjson`].
+        #[serde(default)]
         codec: CodecKind,
     },
     /// Stream counter windows into the session, in measurement order.
@@ -258,7 +247,7 @@ pub struct StatsReport {
 }
 
 /// One server response.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub enum Response {
     /// Session opened.
     Welcome {
@@ -272,6 +261,7 @@ pub enum Response {
         /// Codec the server granted; both sides switch to it right after
         /// this response. Old servers omit it; decoding defaults to
         /// [`CodecKind::Ndjson`].
+        #[serde(default)]
         codec: CodecKind,
     },
     /// Ingest result.
@@ -304,153 +294,18 @@ impl Response {
     }
 }
 
-// `Request` and `Response` need hand-written `Deserialize` impls (the
-// derive requires every field): the `codec` field of `Hello`/`Welcome`
-// must be *optional* so frames from PR 4 peers — which predate codec
-// negotiation — still decode. Everything else mirrors the derive's
-// externally-tagged enum format exactly.
-
-/// Look up an optional field of an externally-tagged variant body.
-fn opt_field<'a>(pairs: &'a [(String, serde::Value)], name: &str) -> Option<&'a serde::Value> {
-    pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-impl serde::Deserialize for Request {
-    fn from_value(v: &serde::Value) -> Result<Request, serde::DeError> {
-        if let serde::Value::Str(s) = v {
-            return match s.as_str() {
-                "Recommend" => Ok(Request::Recommend),
-                "Stats" => Ok(Request::Stats),
-                "Shutdown" => Ok(Request::Shutdown),
-                other => Err(serde::DeError::custom(format!(
-                    "unknown variant {other} of Request"
-                ))),
-            };
-        }
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected tagged object for enum Request"))?;
-        if pairs.len() != 1 {
-            return Err(serde::DeError::custom(
-                "expected single-key tagged object for enum Request",
-            ));
-        }
-        let (tag, inner) = (&pairs[0].0, &pairs[0].1);
-        match tag.as_str() {
-            "Hello" => {
-                let fields = inner
-                    .as_object()
-                    .ok_or_else(|| serde::DeError::custom("expected object for Request::Hello"))?;
-                Ok(Request::Hello {
-                    proto: serde::Deserialize::from_value(serde::get_field(fields, "proto")?)?,
-                    spec: serde::Deserialize::from_value(serde::get_field(fields, "spec")?)?,
-                    codec: match opt_field(fields, "codec") {
-                        Some(c) => serde::Deserialize::from_value(c)?,
-                        None => CodecKind::Ndjson,
-                    },
-                })
-            }
-            "Ingest" => {
-                let fields = inner
-                    .as_object()
-                    .ok_or_else(|| serde::DeError::custom("expected object for Request::Ingest"))?;
-                Ok(Request::Ingest {
-                    windows: serde::Deserialize::from_value(serde::get_field(fields, "windows")?)?,
-                })
-            }
-            "IngestTagged" => {
-                let fields = inner.as_object().ok_or_else(|| {
-                    serde::DeError::custom("expected object for Request::IngestTagged")
-                })?;
-                Ok(Request::IngestTagged {
-                    thread: serde::Deserialize::from_value(serde::get_field(fields, "thread")?)?,
-                    windows: serde::Deserialize::from_value(serde::get_field(fields, "windows")?)?,
-                })
-            }
-            "Place" => {
-                let fields = inner
-                    .as_object()
-                    .ok_or_else(|| serde::DeError::custom("expected object for Request::Place"))?;
-                Ok(Request::Place {
-                    threads: serde::Deserialize::from_value(serde::get_field(fields, "threads")?)?,
-                })
-            }
-            "Debug" => {
-                let fields = inner
-                    .as_object()
-                    .ok_or_else(|| serde::DeError::custom("expected object for Request::Debug"))?;
-                Ok(Request::Debug {
-                    op: serde::Deserialize::from_value(serde::get_field(fields, "op")?)?,
-                })
-            }
-            other => Err(serde::DeError::custom(format!(
-                "unknown variant {other} of Request"
-            ))),
-        }
-    }
-}
-
-impl serde::Deserialize for Response {
-    fn from_value(v: &serde::Value) -> Result<Response, serde::DeError> {
-        if let serde::Value::Str(s) = v {
-            return match s.as_str() {
-                "Bye" => Ok(Response::Bye),
-                other => Err(serde::DeError::custom(format!(
-                    "unknown variant {other} of Response"
-                ))),
-            };
-        }
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected tagged object for enum Response"))?;
-        if pairs.len() != 1 {
-            return Err(serde::DeError::custom(
-                "expected single-key tagged object for enum Response",
-            ));
-        }
-        let (tag, inner) = (&pairs[0].0, &pairs[0].1);
-        match tag.as_str() {
-            "Welcome" => {
-                let fields = inner.as_object().ok_or_else(|| {
-                    serde::DeError::custom("expected object for Response::Welcome")
-                })?;
-                Ok(Response::Welcome {
-                    session: serde::Deserialize::from_value(serde::get_field(fields, "session")?)?,
-                    proto: serde::Deserialize::from_value(serde::get_field(fields, "proto")?)?,
-                    top: serde::Deserialize::from_value(serde::get_field(fields, "top")?)?,
-                    codec: match opt_field(fields, "codec") {
-                        Some(c) => serde::Deserialize::from_value(c)?,
-                        None => CodecKind::Ndjson,
-                    },
-                })
-            }
-            "Ingested" => Ok(Response::Ingested(serde::Deserialize::from_value(inner)?)),
-            "Recommendation" => Ok(Response::Recommendation(serde::Deserialize::from_value(
-                inner,
-            )?)),
-            "Placement" => Ok(Response::Placement(serde::Deserialize::from_value(inner)?)),
-            "Stats" => Ok(Response::Stats(serde::Deserialize::from_value(inner)?)),
-            "Error" => {
-                let fields = inner
-                    .as_object()
-                    .ok_or_else(|| serde::DeError::custom("expected object for Response::Error"))?;
-                Ok(Response::Error {
-                    code: serde::Deserialize::from_value(serde::get_field(fields, "code")?)?,
-                    message: serde::Deserialize::from_value(serde::get_field(fields, "message")?)?,
-                })
-            }
-            other => Err(serde::DeError::custom(format!(
-                "unknown variant {other} of Response"
-            ))),
-        }
-    }
-}
-
 /// Encode one protocol message as a line (JSON + `\n`).
 pub fn encode_line<T: serde::Serialize>(msg: &T) -> Result<String, smt_sim::Error> {
-    let mut s = serde_json::to_string(msg).map_err(|e| smt_sim::Error::Serde(e.to_string()))?;
-    s.push('\n');
-    Ok(s)
+    let mut line = Vec::new();
+    write_line(msg, &mut line)?;
+    Ok(String::from_utf8(line).expect("JSON text is UTF-8"))
+}
+
+/// Append one protocol message to `out` as a line (JSON + `\n`).
+pub fn write_line<T: serde::Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), smt_sim::Error> {
+    serde_json::to_writer(&mut *out, msg).map_err(|e| smt_sim::Error::Serde(e.to_string()))?;
+    out.push(b'\n');
+    Ok(())
 }
 
 /// Decode one protocol line (with or without its trailing newline).

@@ -312,6 +312,29 @@ fn place_errors_are_structured() {
     assert_eq!(report.cores, vec![vec![1]]);
 }
 
+/// A line nested far past the JSON parser's depth cap (a megabyte of `[`)
+/// gets a structured error instead of overflowing the server's stack,
+/// and the server goes on serving new connections.
+#[test]
+fn deeply_nested_line_is_refused_and_the_server_keeps_serving() {
+    let addr = shared_server_addr();
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    match client
+        .send_raw_line(&"[".repeat(1 << 20))
+        .expect("server answers the nested line")
+    {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected structured error, got {other:?}"),
+    }
+    let mut fresh = Client::connect(addr, Duration::from_secs(5)).expect("reconnect");
+    fresh
+        .hello(&SessionSpec::power7())
+        .expect("hello after the nested line");
+    fresh
+        .ingest(&[sample_window()])
+        .expect("ingest after the nested line");
+}
+
 /// One server shared by all proptest cases (each case opens its own
 /// connection). Never shut down: the process exit reaps it.
 fn shared_server_addr() -> &'static str {

@@ -1,11 +1,14 @@
 //! Derive macros for the offline `serde` shim.
 //!
 //! Parses the item's token stream directly (no `syn`/`quote` available
-//! offline) and generates `Serialize`/`Deserialize` impls against the
-//! shim's `Value` data model. Supported shapes — which cover everything in
-//! this workspace — are non-generic structs with named fields, tuple
-//! structs, and enums with unit, tuple, and struct variants, using serde's
-//! externally-tagged enum representation.
+//! offline) and generates `Serialize`/`Deserialize` impls that stream
+//! through the shim's `Sink`/`Source` data model: a writer with static
+//! key literals and a pull decoder that matches field names in one pass.
+//! Supported shapes — which cover everything in this workspace — are
+//! non-generic structs with named fields, tuple structs, and enums with
+//! unit, tuple, and struct variants, using serde's externally-tagged enum
+//! representation. The one field attribute is `#[serde(default)]`: a
+//! missing field decodes as `Default::default()`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -13,7 +16,7 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Item {
     Struct {
         name: String,
-        fields: Vec<String>,
+        fields: Vec<Field>,
     },
     TupleStruct {
         name: String,
@@ -25,6 +28,15 @@ enum Item {
     },
 }
 
+/// A named field.
+struct Field {
+    name: String,
+    /// The field's type, as source text.
+    ty: String,
+    /// `#[serde(default)]`: absent means `Default::default()`.
+    default: bool,
+}
+
 struct Variant {
     name: String,
     kind: VariantKind,
@@ -33,7 +45,7 @@ struct Variant {
 enum VariantKind {
     Unit,
     Tuple(usize),
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
 }
 
 fn is_punct(t: &TokenTree, c: char) -> bool {
@@ -44,13 +56,33 @@ fn is_ident(t: &TokenTree, s: &str) -> bool {
     matches!(t, TokenTree::Ident(i) if i.to_string() == s)
 }
 
+/// Whether an attribute body (the tokens inside `#[...]`) is
+/// `serde(default)`. Any other `serde(...)` attribute is rejected.
+fn is_serde_default(body: TokenStream) -> bool {
+    let tokens: Vec<TokenTree> = body.into_iter().collect();
+    match tokens.as_slice() {
+        [TokenTree::Ident(i), TokenTree::Group(args)] if i.to_string() == "serde" => {
+            let args = args.stream().to_string();
+            assert!(
+                args == "default",
+                "serde_derive shim supports only #[serde(default)], got #[serde({args})]"
+            );
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Skip `#[...]` attributes (including expanded doc comments) and
-/// visibility qualifiers starting at `i`; returns the next index.
-fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
+/// visibility qualifiers starting at `i`; returns the next index and
+/// whether one of the attributes was `#[serde(default)]`.
+fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> (usize, bool) {
+    let mut default = false;
     loop {
         if i < tokens.len() && is_punct(&tokens[i], '#') {
             i += 1; // '#'
-            if i < tokens.len() {
+            if let Some(TokenTree::Group(g)) = tokens.get(i) {
+                default |= is_serde_default(g.stream());
                 i += 1; // the [...] group
             }
             continue;
@@ -66,8 +98,19 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
             }
             continue;
         }
-        return i;
+        return (i, default);
     }
+}
+
+/// Skip attributes and visibility where `#[serde(default)]` has no
+/// meaning (items, variants, tuple fields).
+fn skip_plain_attrs(tokens: &[TokenTree], i: usize) -> usize {
+    let (i, default) = skip_attrs_and_vis(tokens, i);
+    assert!(
+        !default,
+        "serde_derive: #[serde(default)] is supported on named fields only"
+    );
+    i
 }
 
 /// Skip a type expression until a `,` at angle-bracket depth zero (or end
@@ -86,27 +129,36 @@ fn skip_type(tokens: &[TokenTree], mut i: usize) -> usize {
     i
 }
 
-/// Parse `name: Type, ...` named-field lists, returning the field names.
-fn parse_named_fields(group: TokenStream) -> Vec<String> {
+/// Parse `name: Type, ...` named-field lists.
+fn parse_named_fields(group: TokenStream) -> Vec<Field> {
     let tokens: Vec<TokenTree> = group.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(&tokens, i);
+        let (at, default) = skip_attrs_and_vis(&tokens, i);
+        i = at;
         if i >= tokens.len() {
             break;
         }
         let TokenTree::Ident(name) = &tokens[i] else {
             panic!("serde_derive: expected field name, got {:?}", tokens[i]);
         };
-        fields.push(name.to_string());
         i += 1;
         assert!(
             is_punct(&tokens[i], ':'),
             "serde_derive: expected `:` after field name"
         );
-        i = skip_type(&tokens, i + 1);
-        i += 1; // past the comma (or end)
+        let end = skip_type(&tokens, i + 1);
+        fields.push(Field {
+            name: name.to_string(),
+            ty: tokens[i + 1..end]
+                .iter()
+                .cloned()
+                .collect::<TokenStream>()
+                .to_string(),
+            default,
+        });
+        i = end + 1; // past the comma (or end)
     }
     fields
 }
@@ -120,7 +172,7 @@ fn count_tuple_fields(group: TokenStream) -> usize {
     let mut n = 0;
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(&tokens, i);
+        i = skip_plain_attrs(&tokens, i);
         if i >= tokens.len() {
             break;
         }
@@ -136,7 +188,7 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        i = skip_attrs_and_vis(&tokens, i);
+        i = skip_plain_attrs(&tokens, i);
         if i >= tokens.len() {
             break;
         }
@@ -166,7 +218,7 @@ fn parse_variants(group: TokenStream) -> Vec<Variant> {
 
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = skip_attrs_and_vis(&tokens, 0);
+    let mut i = skip_plain_attrs(&tokens, 0);
     let is_enum = if is_ident(&tokens[i], "struct") {
         false
     } else if is_ident(&tokens[i], "enum") {
@@ -217,231 +269,252 @@ fn parse_item(input: TokenStream) -> Item {
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
+//
+// Generated code names everything by absolute path and calls trait methods
+// in UFCS form, so it needs no imports at the use site.
+
+const OK: &str = "::std::result::Result::Ok";
+const ERR: &str = "::std::result::Result::Err";
+const SOME: &str = "::std::option::Option::Some";
+const NONE: &str = "::std::option::Option::None";
+
+/// Statements writing `values` (expressions of reference type) as an
+/// array.
+fn write_array(values: &[String]) -> String {
+    let mut out = String::from("::serde::Sink::begin_array(__sink);");
+    for v in values {
+        out.push_str(&format!(
+            "::serde::Sink::elem(__sink); ::serde::Serialize::serialize({v}, __sink);"
+        ));
+    }
+    out.push_str("::serde::Sink::end_array(__sink);");
+    out
+}
+
+/// Statements writing named members as an object; `access` turns a field
+/// name into an expression of reference type.
+fn write_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut out = String::from("::serde::Sink::begin_object(__sink);");
+    for f in fields {
+        out.push_str(&format!(
+            "::serde::Sink::key(__sink, \"{}\"); ::serde::Serialize::serialize({}, __sink);",
+            f.name,
+            access(&f.name)
+        ));
+    }
+    out.push_str("::serde::Sink::end_object(__sink);");
+    out
+}
 
 fn gen_serialize(item: &Item) -> String {
-    let mut out = String::new();
-    match item {
-        Item::Struct { name, fields } => {
-            let mut pairs = String::new();
-            for f in fields {
-                pairs.push_str(&format!(
-                    "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-                ));
-            }
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\
-                     fn to_value(&self) -> ::serde::Value {{\
-                         ::serde::Value::Object(::std::vec![{pairs}])\
-                     }}\
-                 }}"
-            ));
-        }
+    let (name, body) = match item {
+        Item::Struct { name, fields } => (name, write_object(fields, |f| format!("&self.{f}"))),
+        Item::TupleStruct { name, arity: 1 } => (
+            name,
+            "::serde::Serialize::serialize(&self.0, __sink);".to_string(),
+        ),
         Item::TupleStruct { name, arity } => {
-            let body = if *arity == 1 {
-                "::serde::Serialize::to_value(&self.0)".to_string()
-            } else {
-                let items: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                    .collect();
-                format!("::serde::Value::Array(::std::vec![{}])", items.join(","))
-            };
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\
-                 }}"
-            ));
+            let values: Vec<String> = (0..*arity).map(|k| format!("&self.{k}")).collect();
+            (name, write_array(&values))
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
-                    )),
+                let (pattern, inner) = match &v.kind {
+                    VariantKind::Unit => {
+                        arms.push_str(&format!(
+                            "{name}::{vn} => ::serde::Sink::str(__sink, \"{vn}\"),"
+                        ));
+                        continue;
+                    }
+                    VariantKind::Tuple(1) => (
+                        "(__f0)".to_string(),
+                        "::serde::Serialize::serialize(__f0, __sink);".to_string(),
+                    ),
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(::std::vec![{}])", items.join(","))
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![\
-                                 (::std::string::String::from(\"{vn}\"), {inner})]),",
-                            binds.join(",")
-                        ));
+                        (format!("({})", binds.join(",")), write_array(&binds))
                     }
                     VariantKind::Struct(fields) => {
-                        let pairs: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Object(::std::vec![\
-                                 (::std::string::String::from(\"{vn}\"), \
-                                  ::serde::Value::Object(::std::vec![{}]))]),",
-                            fields.join(","),
-                            pairs.join(",")
-                        ));
+                        let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        (
+                            format!("{{ {} }}", binds.join(",")),
+                            write_object(fields, str::to_string),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!(
+                    "{name}::{vn} {pattern} => {{\
+                         ::serde::Sink::begin_object(__sink);\
+                         ::serde::Sink::key(__sink, \"{vn}\");\
+                         {inner}\
+                         ::serde::Sink::end_object(__sink);\
+                     }}"
+                ));
             }
-            out.push_str(&format!(
-                "impl ::serde::Serialize for {name} {{\
-                     fn to_value(&self) -> ::serde::Value {{\
-                         match self {{ {arms} }}\
-                     }}\
-                 }}"
-            ));
+            (name, format!("match self {{ {arms} }}"))
         }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\
+             fn serialize<__S: ::serde::Sink>(&self, __sink: &mut __S) {{ {body} }}\
+         }}"
+    )
+}
+
+/// An expression reading an array of `n` elements into `ctor(...)`.
+fn read_tuple(ctor: &str, n: usize) -> String {
+    let arity_error =
+        format!("return {ERR}(::serde::DeError::custom(\"expected {n} elements for {ctor}\"))");
+    let elems: Vec<String> = (0..n)
+        .map(|_| {
+            format!(
+                "{{ if !::serde::Source::next_elem(__src)? {{ {arity_error} }}\
+                    ::serde::Deserialize::deserialize(__src)? }}"
+            )
+        })
+        .collect();
+    format!(
+        "{{ ::serde::Source::begin_array(__src)?;\
+            let __value = {ctor}({});\
+            if ::serde::Source::next_elem(__src)? {{ {arity_error} }}\
+            __value }}",
+        elems.join(",")
+    )
+}
+
+/// An expression reading an object's members into `ctor { fields }`: the
+/// first occurrence of a key wins, unknown keys are skipped, and a missing
+/// field is an error unless it is `#[serde(default)]`.
+fn read_fields(ctor: &str, fields: &[Field]) -> String {
+    let names: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (k, f) in fields.iter().enumerate() {
+        let (fname, ty) = (&f.name, &f.ty);
+        slots.push_str(&format!(
+            "let mut __f{k}: ::std::option::Option<{ty}> = {NONE};"
+        ));
+        arms.push_str(&format!(
+            "{k} if __f{k}.is_none() => \
+                 __f{k} = {SOME}(::serde::Deserialize::deserialize(__src)?),"
+        ));
+        let missing = if f.default {
+            "::std::default::Default::default()".to_string()
+        } else {
+            format!("return {ERR}(::serde::DeError::missing_field(\"{fname}\"))")
+        };
+        inits.push_str(&format!(
+            "{fname}: match __f{k} {{ {SOME}(__v) => __v, {NONE} => {missing} }},"
+        ));
     }
-    out
+    format!(
+        "{{ const __FIELDS: &[&str] = &[{}];\
+            ::serde::Source::begin_object(__src)?;\
+            {slots}\
+            let mut __seen = 0usize;\
+            while let {SOME}(__i) = ::serde::Source::field(__src, __FIELDS, __seen)? {{\
+                __seen += 1;\
+                match __i {{ {arms} _ => ::serde::Source::skip(__src)?, }}\
+            }}\
+            {ctor} {{ {inits} }} }}",
+        names.join(",")
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
+    let (name, body) = match item {
+        Item::Struct { name, fields } => (name, format!("{OK}({})", read_fields(name, fields))),
+        Item::TupleStruct { name, arity: 1 } => (
+            name,
+            format!("{OK}({name}(::serde::Deserialize::deserialize(__src)?))"),
+        ),
+        Item::TupleStruct { name, arity } => (name, format!("{OK}({})", read_tuple(name, *arity))),
+        Item::Enum { name, variants } => (name, deserialize_enum(name, variants)),
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\
+             fn deserialize<__R: ::serde::Source>(__src: &mut __R)\
+                 -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\
+         }}"
+    )
+}
+
+/// Externally tagged: a unit variant is its name as a string, any other
+/// variant a single-key object mapping its name to its contents.
+fn deserialize_enum(name: &str, variants: &[Variant]) -> String {
+    let unknown = format!(
+        "__other => return {ERR}(::serde::DeError::custom(\
+             format!(\"unknown variant {{__other}} of {name}\"))),"
+    );
     let mut out = String::new();
-    match item {
-        Item::Struct { name, fields } => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(::serde::get_field(__pairs, \"{f}\")?)?"
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\
-                         let __pairs = v.as_object().ok_or_else(|| \
-                             ::serde::DeError::custom(\"expected object for struct {name}\"))?;\
-                         ::std::result::Result::Ok({name} {{ {} }})\
-                     }}\
-                 }}",
-                inits.join(",")
-            ));
-        }
-        Item::TupleStruct { name, arity } => {
-            let body = if *arity == 1 {
-                format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-            } else {
-                let gets: Vec<String> = (0..*arity)
-                    .map(|k| format!("::serde::Deserialize::from_value(&__items[{k}])?"))
-                    .collect();
-                format!(
-                    "let __items = v.as_array().ok_or_else(|| \
-                         ::serde::DeError::custom(\"expected array for {name}\"))?;\
-                     if __items.len() != {arity} {{\
-                         return ::std::result::Result::Err(::serde::DeError::custom(\
-                             \"wrong tuple arity for {name}\"));\
-                     }}\
-                     ::std::result::Result::Ok({name}({}))",
-                    gets.join(",")
-                )
-            };
-            out.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\
-                         {body}\
-                     }}\
-                 }}"
-            ));
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => unit_arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let body = if *n == 1 {
-                            format!(
-                                "::std::result::Result::Ok({name}::{vn}(\
-                                     ::serde::Deserialize::from_value(__inner)?))"
-                            )
-                        } else {
-                            let gets: Vec<String> = (0..*n)
-                                .map(|k| {
-                                    format!("::serde::Deserialize::from_value(&__items[{k}])?")
-                                })
-                                .collect();
-                            format!(
-                                "{{ let __items = __inner.as_array().ok_or_else(|| \
-                                     ::serde::DeError::custom(\"expected array for {name}::{vn}\"))?;\
-                                 if __items.len() != {n} {{\
-                                     return ::std::result::Result::Err(::serde::DeError::custom(\
-                                         \"wrong arity for {name}::{vn}\"));\
-                                 }}\
-                                 ::std::result::Result::Ok({name}::{vn}({})) }}",
-                                gets.join(",")
-                            )
-                        };
-                        data_arms.push_str(&format!("\"{vn}\" => {body},"));
-                    }
-                    VariantKind::Struct(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(\
-                                         ::serde::get_field(__fields, \"{f}\")?)?"
-                                )
-                            })
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{vn}\" => {{ let __fields = __inner.as_object().ok_or_else(|| \
-                                 ::serde::DeError::custom(\"expected object for {name}::{vn}\"))?;\
-                             ::std::result::Result::Ok({name}::{vn} {{ {} }}) }},",
-                            inits.join(",")
-                        ));
-                    }
-                }
-            }
-            out.push_str(&format!(
-                "impl ::serde::Deserialize for {name} {{\
-                     fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\
-                         if let ::serde::Value::Str(__s) = v {{\
-                             return match __s.as_str() {{\
-                                 {unit_arms}\
-                                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                                     format!(\"unknown variant {{__other}} of {name}\"))),\
-                             }};\
-                         }}\
-                         let __pairs = v.as_object().ok_or_else(|| \
-                             ::serde::DeError::custom(\"expected tagged object for enum {name}\"))?;\
-                         if __pairs.len() != 1 {{\
-                             return ::std::result::Result::Err(::serde::DeError::custom(\
-                                 \"expected single-key tagged object for enum {name}\"));\
-                         }}\
-                         let (__tag, __inner) = (&__pairs[0].0, &__pairs[0].1);\
-                         let _ = __inner;\
-                         match __tag.as_str() {{\
-                             {data_arms}\
-                             __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                                 format!(\"unknown variant {{__other}} of {name}\"))),\
-                         }}\
-                     }}\
-                 }}"
-            ));
-        }
+    let units: Vec<&str> = variants
+        .iter()
+        .filter(|v| matches!(v.kind, VariantKind::Unit))
+        .map(|v| v.name.as_str())
+        .collect();
+    if !units.is_empty() {
+        let arms: String = units
+            .iter()
+            .map(|vn| format!("\"{vn}\" => return {OK}({name}::{vn}),"))
+            .collect();
+        out.push_str(&format!(
+            "if ::serde::Source::peek(__src)? == ::serde::Kind::Str {{\
+                 match ::serde::Source::str(__src)? {{ {arms} {unknown} }}\
+             }}"
+        ));
     }
+    let data: Vec<&Variant> = variants
+        .iter()
+        .filter(|v| !matches!(v.kind, VariantKind::Unit))
+        .collect();
+    if data.is_empty() {
+        out.push_str(&format!(
+            "{ERR}(::serde::DeError::custom(\"expected a variant name for enum {name}\"))"
+        ));
+        return out;
+    }
+    let single_key = format!(
+        "return {ERR}(::serde::DeError::custom(\
+             \"expected single-key tagged object for enum {name}\"))"
+    );
+    let mut tags = String::new();
+    let mut reads = String::new();
+    for (k, v) in data.iter().enumerate() {
+        let vn = &v.name;
+        tags.push_str(&format!("\"{vn}\" => {k}usize,"));
+        let ctor = format!("{name}::{vn}");
+        let read = match &v.kind {
+            VariantKind::Tuple(1) => format!("{ctor}(::serde::Deserialize::deserialize(__src)?)"),
+            VariantKind::Tuple(n) => read_tuple(&ctor, *n),
+            VariantKind::Struct(fields) => read_fields(&ctor, fields),
+            VariantKind::Unit => unreachable!("unit variants are filtered out"),
+        };
+        // The last arm is the catch-all, so the match is exhaustive.
+        let pattern = if k + 1 == data.len() {
+            "_".to_string()
+        } else {
+            k.to_string()
+        };
+        reads.push_str(&format!("{pattern} => {read},"));
+    }
+    out.push_str(&format!(
+        "::serde::Source::begin_object(__src)?;\
+         let __tag = match ::serde::Source::next_key(__src)? {{\
+             {SOME}(__k) => match __k {{ {tags} {unknown} }},\
+             {NONE} => {single_key},\
+         }};\
+         let __value = match __tag {{ {reads} }};\
+         if ::serde::Source::next_key(__src)?.is_some() {{ {single_key} }}\
+         {OK}(__value)"
+    ));
     out
 }
 
 /// Derive the shim's `Serialize` for a struct or enum.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -450,7 +523,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive the shim's `Deserialize` for a struct or enum.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
