@@ -109,10 +109,18 @@ fn u32_at(b: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(b[off..off + 4].try_into().expect("4-byte slice"))
 }
 
-/// Encode one window as a record body. Purely integer fields, fixed
-/// order; see the module docs for the layout guarantee.
-pub fn encode_window(m: &WindowMeasurement) -> Vec<u8> {
-    let mut b = Vec::with_capacity(64 + m.per_thread.len() * 200);
+/// Append one window's record body to `b`. Purely integer fields, fixed
+/// order; see the module docs for the layout guarantee. Appending (rather
+/// than returning a fresh buffer) lets framers write the body straight
+/// behind their own header.
+pub fn encode_window(m: &WindowMeasurement, b: &mut Vec<u8>) {
+    // Exact size: 13-byte window header; per thread 16 counters and the
+    // class counts (u64 each), a u32 port count and the port counts; six
+    // core counters.
+    let ports: usize = m.per_thread.iter().map(|t| t.port_issued.len()).sum();
+    let size = 13 + m.per_thread.len() * (16 * 8 + NUM_CLASSES * 8 + 4) + ports * 8 + 6 * 8;
+    let start = b.len();
+    b.reserve(size);
     b.extend_from_slice(&m.wall_cycles.to_le_bytes());
     b.push(m.smt.ways() as u8);
     b.extend_from_slice(&(m.per_thread.len() as u32).to_le_bytes());
@@ -155,7 +163,7 @@ pub fn encode_window(m: &WindowMeasurement) -> Vec<u8> {
     ] {
         b.extend_from_slice(&v.to_le_bytes());
     }
-    b
+    debug_assert_eq!(b.len() - start, size);
 }
 
 /// Decode one record body back into a window. Every length is validated;
@@ -290,11 +298,12 @@ impl<W: Write + Seek> TraceWriter<W> {
 
     /// Append one window as a checksummed record.
     pub fn append(&mut self, m: &WindowMeasurement) -> Result<(), Error> {
-        let body = encode_window(m);
-        let mut rec = Vec::with_capacity(12 + body.len());
-        rec.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        rec.extend_from_slice(&body);
+        let mut rec = vec![0u8; 12];
+        encode_window(m, &mut rec);
+        let body_len = (rec.len() - 12) as u32;
+        let crc = fnv1a(&rec[12..]);
+        rec[0..4].copy_from_slice(&body_len.to_le_bytes());
+        rec[4..12].copy_from_slice(&crc.to_le_bytes());
         self.out
             .write_all(&rec)
             .map_err(|e| Error::Io(format!("writing trace record: {e}")))?;
@@ -594,11 +603,17 @@ mod tests {
         }
     }
 
+    fn encoded(w: &WindowMeasurement) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_window(w, &mut body);
+        body
+    }
+
     #[test]
     fn encode_decode_round_trip_is_bit_identical() -> Result<(), Error> {
         for seed in [0u64, 1, 7, 1_000_000] {
             let w = sample_window(seed);
-            assert_eq!(decode_window(&encode_window(&w))?, w);
+            assert_eq!(decode_window(&encoded(&w))?, w);
         }
         // Zero-thread window survives too.
         let empty = WindowMeasurement {
@@ -607,7 +622,7 @@ mod tests {
             per_thread: vec![],
             cores: CoreCounters::default(),
         };
-        assert_eq!(decode_window(&encode_window(&empty))?, empty);
+        assert_eq!(decode_window(&encoded(&empty))?, empty);
         Ok(())
     }
 
@@ -641,7 +656,7 @@ mod tests {
         let mut bytes = record(&windows, true);
         // Chop the last record off entirely (a truncation that lands on a
         // record boundary — only the declared count can catch it).
-        let body_len = encode_window(&windows[2]).len();
+        let body_len = encoded(&windows[2]).len();
         bytes.truncate(bytes.len() - body_len - 12);
         let mut r = TraceReader::new(Cursor::new(bytes))?;
         let mut err = None;

@@ -52,6 +52,8 @@ pub struct Client {
     codec: CodecKind,
     rbuf: Vec<u8>,
     rpos: usize,
+    /// Write buffer, reused by every [`Client::call`].
+    wbuf: Vec<u8>,
 }
 
 impl Client {
@@ -95,6 +97,7 @@ impl Client {
             codec: CodecKind::Ndjson,
             rbuf: Vec::new(),
             rpos: 0,
+            wbuf: Vec::new(),
         }
     }
 
@@ -105,9 +108,13 @@ impl Client {
 
     /// Send one request and read its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, Error> {
-        let mut out = Vec::new();
-        codec_for(self.codec).encode_request(request, &mut out)?;
-        self.call_encoded(&out)
+        let mut out = std::mem::take(&mut self.wbuf);
+        out.clear();
+        let sent = codec_for(self.codec)
+            .encode_request(request, &mut out)
+            .and_then(|()| self.call_encoded(&out));
+        self.wbuf = out;
+        sent
     }
 
     /// Send pre-encoded request bytes (already framed in this

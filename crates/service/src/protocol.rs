@@ -12,7 +12,7 @@
 //!
 //! The actual byte formats live in [`crate::codec`]: [`NdjsonCodec`] is
 //! this module's `write_line`/`decode_line` behind the [`Codec`] trait,
-//! and [`BinaryCodec`] is a length-prefixed FNV-1a-checksummed framing in
+//! and [`BinaryCodec`] is a length-prefixed XXH64-checksummed framing in
 //! the `.smtc` trace-record idiom. The protocol is strictly
 //! request/response in order under both codecs, so a client can pipeline
 //! frames and match replies positionally.
@@ -35,13 +35,19 @@ use smt_sched::{PlacementReport, Recommendation, StreamDecision};
 use smt_sim::{SmtLevel, WindowMeasurement};
 
 /// Protocol revision carried in `hello`/`welcome`. Bumped on any wire
-/// change a previous client could not parse. Revision 2 added codec
-/// negotiation; revision 3 added per-thread tagged ingest and the `place`
-/// verb. The server still accepts [`MIN_PROTOCOL_VERSION`], and sessions
-/// opened at an older revision are simply refused the newer verbs
-/// ([`ErrorCode::PlacementUnsupported`]) — their wire surface is
-/// untouched.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// change a previous client could not parse. Revision history:
+///
+/// - 2 added codec negotiation (binary frames checksummed with FNV-1a);
+/// - 3 added per-thread tagged ingest and the `place` verb;
+/// - 4 changed the binary frame checksum to XXH64 (seed 0).
+///
+/// The server still accepts [`MIN_PROTOCOL_VERSION`]. Sessions opened at
+/// an older revision are refused the newer verbs
+/// ([`ErrorCode::PlacementUnsupported`]), and an older `hello` asking for
+/// [`CodecKind::Binary`] is refused with [`ErrorCode::UnsupportedCodec`]
+/// (there is one binary frame format) while the connection stays open
+/// for an NDJSON retry. NDJSON sessions at every revision are untouched.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Oldest protocol revision the server still accepts in `hello`.
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
@@ -53,8 +59,19 @@ pub enum CodecKind {
     /// connection speaks until negotiation.
     #[default]
     Ndjson,
-    /// Length-prefixed binary frames with an FNV-1a checksum.
+    /// Length-prefixed binary frames with an XXH64 checksum; a `hello`
+    /// may ask for it from protocol revision 4 on.
     Binary,
+}
+
+impl CodecKind {
+    /// Oldest protocol revision whose `hello` may ask for this codec.
+    pub fn min_protocol(self) -> u32 {
+        match self {
+            CodecKind::Ndjson => MIN_PROTOCOL_VERSION,
+            CodecKind::Binary => 4,
+        }
+    }
 }
 
 impl std::str::FromStr for CodecKind {
@@ -193,7 +210,8 @@ pub enum ErrorCode {
     /// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`].
     Unsupported,
     /// The codec requested in `hello` is not allowed by the server's
-    /// codec policy.
+    /// codec policy, or is newer than the `hello`'s protocol revision
+    /// ([`CodecKind::min_protocol`]).
     UnsupportedCodec,
     /// A mid-stream framing/codec error: a binary frame failed its length
     /// or checksum validation, or a checksummed body did not decode. The

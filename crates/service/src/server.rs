@@ -913,6 +913,18 @@ fn handle_request(
                     false,
                 );
             }
+            if proto < codec.min_protocol() {
+                return (
+                    Response::error(
+                        ErrorCode::UnsupportedCodec,
+                        format!(
+                            "codec {codec} needs protocol {} or later (hello says {proto})",
+                            codec.min_protocol()
+                        ),
+                    ),
+                    false,
+                );
+            }
             let Some(granted) = shared.cfg.codecs.grant(codec) else {
                 return (
                     Response::error(

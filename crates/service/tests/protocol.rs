@@ -599,3 +599,31 @@ fn codec_policy_refusal_is_structured_and_survivable() {
     handle.trigger_shutdown();
     handle.join();
 }
+
+/// Revision 4 changed the binary frame checksum and there is one binary
+/// frame format, so a revision-3 `hello` asking for binary is refused with
+/// `UnsupportedCodec` — and the same connection can still open an NDJSON
+/// session.
+#[test]
+fn pre_v4_binary_hello_is_refused_and_ndjson_retry_works() {
+    let addr = shared_server_addr();
+    let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+    match client
+        .call(&Request::Hello {
+            proto: 3,
+            spec: SessionSpec::power7(),
+            codec: CodecKind::Binary,
+        })
+        .expect("server answers")
+    {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedCodec),
+        other => panic!("expected UnsupportedCodec, got {other:?}"),
+    }
+    assert_eq!(client.codec(), CodecKind::Ndjson);
+    let (_, _, granted) = client
+        .hello_with(&SessionSpec::power7(), CodecKind::Ndjson)
+        .expect("ndjson hello on the same connection");
+    assert_eq!(granted, CodecKind::Ndjson);
+    client.ingest(&[sample_window()]).expect("ingest");
+    client.recommend().expect("recommend");
+}

@@ -1364,8 +1364,9 @@ impl Core {
         match instr.class {
             InstrClass::Load | InstrClass::Store => {
                 let t0 = phases.stamp();
-                let l1_hit = mem.probe_l1(self.id, instr.addr);
-                if !l1_hit && self.lmq.len() >= self.lmq_capacity {
+                // The L1 probe is pure, so it runs only when the miss
+                // queue is full and a miss could not be taken.
+                if self.lmq.len() >= self.lmq_capacity && !mem.probe_l1(self.id, instr.addr) {
                     // No miss slot: the access cannot issue this cycle;
                     // leave it queued.
                     charge_mem(phases, t0);

@@ -166,111 +166,6 @@ impl Instr {
     }
 }
 
-/// A flat, struct-of-arrays batch of decoded instructions.
-///
-/// Workload generators decode in batches and serve the fetch stage out of
-/// one of these instead of materializing an `Instr` per call site: six
-/// parallel dense arrays (one per field family) keep a whole batch in a
-/// handful of cache lines, where a `Vec<Instr>` would spread the same data
-/// over padded 40-byte records. Consumption is FIFO via a head cursor, so
-/// draining a block never shifts memory.
-#[derive(Debug, Clone, Default)]
-pub struct InstrBlock {
-    class: Vec<u8>,
-    dep_dist: Vec<u8>,
-    /// Packed booleans: bit 0 = `remote`, bit 1 = `mispredict`, bit 2 = `taken`.
-    flags: Vec<u8>,
-    work: Vec<u8>,
-    addr: Vec<u64>,
-    pc: Vec<u64>,
-    head: usize,
-}
-
-impl InstrBlock {
-    /// An empty block with room for `n` instructions per field array.
-    pub fn with_capacity(n: usize) -> InstrBlock {
-        InstrBlock {
-            class: Vec::with_capacity(n),
-            dep_dist: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-            work: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            pc: Vec::with_capacity(n),
-            head: 0,
-        }
-    }
-
-    /// Append one decoded instruction to the tail of the block.
-    pub fn push(&mut self, i: Instr) {
-        self.class.push(i.class.index() as u8);
-        self.dep_dist.push(i.dep_dist);
-        self.flags
-            .push(u8::from(i.remote) | u8::from(i.mispredict) << 1 | u8::from(i.taken) << 2);
-        self.work.push(i.work);
-        self.addr.push(i.addr);
-        self.pc.push(i.pc);
-    }
-
-    /// Remove and return the oldest instruction, or `None` when drained.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Instr> {
-        let h = self.head;
-        if h >= self.class.len() {
-            return None;
-        }
-        self.head = h + 1;
-        Some(self.get(h))
-    }
-
-    /// Reassemble the instruction at absolute index `i` (independent of
-    /// the FIFO cursor). Panics when out of range.
-    #[inline]
-    pub fn get(&self, i: usize) -> Instr {
-        let flags = self.flags[i];
-        Instr {
-            class: InstrClass::from_index(self.class[i] as usize),
-            dep_dist: self.dep_dist[i],
-            addr: self.addr[i],
-            remote: flags & 1 != 0,
-            mispredict: flags & 2 != 0,
-            taken: flags & 4 != 0,
-            work: self.work[i],
-            pc: self.pc[i],
-        }
-    }
-
-    /// Total instructions pushed (served or not — the absolute index
-    /// range valid for [`InstrBlock::get`]).
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.class.len()
-    }
-
-    /// Instructions still unserved.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.class.len() - self.head
-    }
-
-    /// Whether every pushed instruction has been served.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.head >= self.class.len()
-    }
-
-    /// Drop all contents (served and unserved) but keep the allocations,
-    /// readying the block for the next decode batch.
-    pub fn clear(&mut self) {
-        self.class.clear();
-        self.dep_dist.clear();
-        self.flags.clear();
-        self.work.clear();
-        self.addr.clear();
-        self.pc.clear();
-        self.head = 0;
-    }
-}
-
 /// What a software thread hands the fetch stage when asked for its next
 /// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

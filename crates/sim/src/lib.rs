@@ -50,7 +50,7 @@ pub use branch::{BranchPredictor, BranchPredictorConfig};
 pub use cache::{AccessOutcome, Cache, CacheConfig, MemConfig, MemoryController, MemorySystem};
 pub use counters::{CoreCounters, ThreadCounters, WindowMeasurement};
 pub use error::Error;
-pub use isa::{Fetched, Instr, InstrBlock, InstrClass, DEP_WINDOW, NUM_CLASSES};
+pub use isa::{Fetched, Instr, InstrClass, DEP_WINDOW, NUM_CLASSES};
 pub use machine::{MachineConfig, RunResult, Simulation, Stepping};
 pub use profile::{ticks_per_sec, PhaseProfile};
 pub use soa::IssueEngine;

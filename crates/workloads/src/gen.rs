@@ -15,17 +15,10 @@
 use crate::spec::{AccessPattern, SyncSpec, WorkloadSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use smt_sim::{Fetched, Instr, InstrBlock, InstrClass, Workload};
+use smt_sim::{Fetched, Instr, InstrClass, Workload};
 
 /// Work units claimed from the pool at a time.
 const CHUNK: u64 = 256;
-
-/// Work instructions decoded ahead per thread into its [`InstrBlock`].
-/// Decoding is a pure function of per-thread generator state (RNG and
-/// cursors), so running it in batches emits the exact same stream as
-/// decoding on demand — the accounting that *is* demand-coupled (chunk
-/// and rate-limit bookkeeping) happens at serve time instead.
-const DECODE_BATCH: usize = 64;
 
 /// Poll interval (cycles) for sleeping waiters (barrier / serial phases).
 const POLL: u64 = 50;
@@ -103,8 +96,6 @@ struct ThreadGen {
     shared_cursor: u64,
     /// The workload told the machine this thread is finished.
     done: bool,
-    /// Decoded-ahead work instructions, served FIFO.
-    block: InstrBlock,
 }
 
 /// Shared synchronization state.
@@ -228,30 +219,19 @@ impl SyntheticWorkload {
     }
 
     /// Serve one ordinary instruction for thread `t`, consuming one work
-    /// unit from its chunk. Decoding runs [`DECODE_BATCH`] instructions
-    /// ahead into the thread's [`InstrBlock`]; only the accounting here is
-    /// tied to the serve cycle.
+    /// unit from its chunk.
     fn gen_work_instr(&mut self, t: usize) -> Instr {
-        let spec = &self.spec;
         let g = &mut self.threads[t];
         debug_assert!(g.chunk_left > 0);
         g.chunk_left -= 1;
         self.emitted += 1;
-        if g.block.is_empty() {
-            g.block.clear();
-            for _ in 0..DECODE_BATCH {
-                let i = Self::decode_work_instr(spec, t, g);
-                g.block.push(i);
-            }
-        }
-        g.block.pop().expect("refilled block cannot be empty")
+        Self::decode_work_instr(&self.spec, t, g)
     }
 
     /// Decode the next work instruction of thread `t`'s stream: a pure
     /// function of the spec and the thread's generator state (RNG, PC and
-    /// address cursors) — independent of simulation time, sync mode, and
-    /// chunk accounting, which is what makes batched decode-ahead emit a
-    /// bit-identical stream.
+    /// address cursors), independent of simulation time, sync mode and
+    /// chunk accounting.
     fn decode_work_instr(spec: &WorkloadSpec, t: usize, g: &mut ThreadGen) -> Instr {
         let spec_mix = spec.mix;
         let dep = spec.dep;
@@ -426,7 +406,6 @@ impl Workload for SyntheticWorkload {
                     pc_cursor: 0,
                     shared_cursor: 0,
                     done: false,
-                    block: InstrBlock::with_capacity(DECODE_BATCH),
                 }
             })
             .collect();
