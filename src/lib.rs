@@ -88,9 +88,8 @@ pub mod prelude {
         PlacementOutcome, PlacementReport, Recommendation, SearchStrategy, StreamDecision,
     };
     pub use smt_service::{
-        check_serve_regression, run_bench, run_tier_sweep, BenchOp, BenchOptions, Client,
-        CodecKind, CodecPolicy, Endpoint, ServeReport, ServeRun, ServerConfig, ServerHandle,
-        ServiceMetrics, ServiceSink, SessionSpec,
+        run_bench, run_tier_sweep, BenchOp, BenchOptions, Client, CodecKind, CodecPolicy, Endpoint,
+        ServerConfig, ServerHandle, ServiceMetrics, ServiceSink, SessionSpec,
     };
     pub use smt_sim::{
         ArchDescriptor, Instr, InstrClass, MachineConfig, RunResult, ScriptedWorkload, Simulation,

@@ -45,6 +45,7 @@ fn unknown_flags_are_rejected_per_command() {
     // `--windows` is a `place`/`collect` flag, not an `analyze` one.
     assert_usage_error(&["analyze", "EP", "--windows", "8"], "--windows");
     assert_usage_error(&["serve", "--json"], "--json");
+    assert_usage_error(&["bench-serve", "--tolerance", "0.2"], "--tolerance");
 }
 
 #[test]
