@@ -57,7 +57,7 @@ pub fn run() -> Result<PlacementStudy, Error> {
     for sc in scenarios::all() {
         let sigs = sc.signatures(&spec);
         let make_jobs = || sc.make_jobs();
-        let oracle = placement_oracle(&sc.cfg, &make_jobs, sc.max_cycles);
+        let oracle = placement_oracle(&sc.cfg, &make_jobs, sc.max_cycles)?;
         let best = oracle.best_perf();
         for strategy in strategies() {
             let outcome = AllocatorConfig::for_machine(sc.cfg.clone())

@@ -10,11 +10,11 @@
 use crate::suite::SuiteData;
 use serde::{Deserialize, Serialize};
 use smt_sim::{Error, SmtLevel};
-use smt_stats::classify::{mispredicted, SpeedupCase};
+use smt_stats::classify::{mispredicted, BinaryConfusion, SpeedupCase};
 use smt_stats::corr::{pearson, spearman};
-use smt_stats::gini::GiniSweep;
 use smt_stats::resample::bootstrap_ci;
 use smt_stats::table::{fnum, Table};
+use smtsm::gini_sweep;
 
 /// One benchmark's point on a scatter figure.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -88,14 +88,9 @@ impl ScatterFigure {
             .iter()
             .map(|p| SpeedupCase::new(p.name.clone(), p.metric, p.speedup))
             .collect();
-        let sweep = GiniSweep::run(
-            &cases
-                .iter()
-                .map(|c| smt_stats::gini::LabeledPoint::from_speedup(c.metric, c.speedup))
-                .collect::<Vec<_>>(),
-        );
+        let sweep = gini_sweep(&cases);
         let threshold = sweep.best_separator();
-        let confusion = smt_stats::classify::BinaryConfusion::score(&cases, threshold);
+        let confusion = BinaryConfusion::score(&cases, threshold);
         let xs: Vec<f64> = points.iter().map(|p| p.metric).collect();
         let ys: Vec<f64> = points.iter().map(|p| p.speedup).collect();
         // Bootstrap the whole train-and-score pipeline: each resample
@@ -104,21 +99,14 @@ impl ScatterFigure {
         let accuracy_ci = bootstrap_ci(
             &cases,
             |sample| {
-                if sample.is_empty() {
-                    return None;
-                }
-                let pts: Vec<smt_stats::gini::LabeledPoint> = sample
-                    .iter()
-                    .map(|c| smt_stats::gini::LabeledPoint::from_speedup(c.metric, c.speedup))
-                    .collect();
                 // A single-class resample has no well-posed threshold;
                 // condition the interval on both classes being present.
-                let goods = pts.iter().filter(|p| p.good).count();
-                if goods == 0 || goods == pts.len() {
+                let higher = sample.iter().filter(|c| c.prefers_higher()).count();
+                if higher == 0 || higher == sample.len() {
                     return None;
                 }
-                let t = GiniSweep::run(&pts).best_separator();
-                Some(smt_stats::classify::BinaryConfusion::score(sample, t).accuracy())
+                let t = gini_sweep(sample).best_separator();
+                Some(BinaryConfusion::score(sample, t).accuracy())
             },
             400,
             0.95,

@@ -530,23 +530,32 @@ where
 
 /// Simulate every feasible placement of the jobs and rank them. `make_jobs`
 /// builds a fresh, identically-seeded job list per run so candidates are
-/// comparable.
+/// comparable. Fails with [`Error::InvalidWorkload`], before simulating
+/// anything, when the jobs outnumber the machine's SMT slots.
 pub fn placement_oracle<F>(
     cfg: &MachineConfig,
     make_jobs: &F,
     max_cycles: u64,
-) -> PlacementOracleReport
+) -> Result<PlacementOracleReport, Error>
 where
     F: Fn() -> Vec<Box<dyn Workload>>,
 {
     let m = make_jobs().len();
     let ncores = cfg.total_cores();
     let ways = cfg.arch.max_smt.ways();
+    if m > ncores * ways {
+        return Err(Error::InvalidWorkload(format!(
+            "{m} jobs do not fit {} SMT slots ({ncores} cores x {ways})",
+            ncores * ways
+        )));
+    }
     let mut candidates = Vec::new();
     for placement in all_placements(m, ncores, ways) {
         let perf = simulate_placement(cfg, make_jobs, &placement, max_cycles);
         candidates.push(PlacementCandidate { placement, perf });
     }
+    // Jobs that fit have at least one placement, so `best` indexes a
+    // candidate.
     let best = candidates
         .iter()
         .enumerate()
@@ -555,9 +564,8 @@ where
                 .partial_cmp(&b.perf)
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-        .map(|(i, _)| i)
-        .expect("oracle needs at least one candidate");
-    PlacementOracleReport { candidates, best }
+        .map_or(0, |(i, _)| i);
+    Ok(PlacementOracleReport { candidates, best })
 }
 
 /// Measure a job's solo-run signature: run it alone on a single-core,
@@ -808,6 +816,27 @@ mod tests {
         assert_eq!(slots[2], Some(1)); // core 0, ctx 1
         assert_eq!(slots[1], Some(2)); // core 1, ctx 0
         assert_eq!(slots[3], None);
+    }
+
+    #[test]
+    fn oracle_refuses_more_jobs_than_slots_before_simulating() {
+        // Nehalem: 4 cores x SMT2 = 8 slots.
+        let calls = std::cell::Cell::new(0);
+        let make_jobs = || {
+            calls.set(calls.get() + 1);
+            (0..9)
+                .map(|_| {
+                    Box::new(SyntheticWorkload::new(smt_workloads::catalog::ep()))
+                        as Box<dyn Workload>
+                })
+                .collect::<Vec<_>>()
+        };
+        let err = placement_oracle(&MachineConfig::nehalem(), &make_jobs, 1_000)
+            .expect_err("9 jobs cannot fit 8 slots");
+        assert!(matches!(err, Error::InvalidWorkload(_)), "{err}");
+        assert!(err.to_string().contains("8 SMT slots"), "{err}");
+        // Counting the jobs is the only call: no candidate was simulated.
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn predicted_best_placements_are_near_oracle_best() {
             .solve()
             .unwrap();
         let make_jobs = || sc.make_jobs();
-        let oracle = placement_oracle(&sc.cfg, &make_jobs, sc.max_cycles);
+        let oracle = placement_oracle(&sc.cfg, &make_jobs, sc.max_cycles).unwrap();
         let regret = oracle
             .regret(&outcome.placement)
             .expect("predicted placement must be among the oracle candidates");

@@ -4,13 +4,15 @@
 //! reads; a flag a command does not read is rejected. What the commands do:
 //!
 //! - `list`: the benchmark catalog (Table I).
-//! - `analyze`: measure SMTsm online at the machine's top SMT level, print
-//!   the three factors and the recommendation; `--verify` also runs every
-//!   level to completion and reports whether the recommendation was right.
+//! - `analyze`: `collect` 8 windows of the benchmark at the machine's top
+//!   SMT level and print the session's recommendation with the last
+//!   window's factors; `--verify` also runs every level to completion and
+//!   reports whether the call (top level, or below it) was right.
 //! - `train`: run the machine's whole suite, train Gini and PPI thresholds
 //!   for top-vs-bottom prediction, print them (and save JSON with `--out`).
-//! - `tune`: run the benchmark under the dynamic SMT controller and print
-//!   the switch log and final throughput.
+//! - `tune`: run the benchmark in a closed loop that applies every level
+//!   the session answers with, and print the switches applied, the final
+//!   throughput and the recommendation.
 //! - `autotune`: the closed-loop phase-aware autotuner. With benchmark
 //!   names the phases run back to back as one workload on the simulator,
 //!   the loop switches the machine's SMT level live (change-point
@@ -60,9 +62,10 @@
 //!   results/corpus/manifest.json) and exits nonzero if any file is
 //!   missing, truncated, or edited. `repro score` replays the corpus.
 //!
-//! `analyze`, `tune`, `collect`, `replay` and `place` print with `--json`
-//! the record the daemon serves, rendered from the same struct, so offline
-//! and online answers are byte-comparable.
+//! `analyze`, `tune`, `collect`, `replay` and `place` compute one answer
+//! through the daemon's session type. `--json` prints it as the record the
+//! daemon serves, so offline and online answers are byte-comparable; the
+//! text renders the same answer.
 //!
 //! Exit status: 0 on success, 2 for a usage error (unknown command or
 //! flag, malformed value, unknown machine or benchmark), 1 for any other
@@ -212,16 +215,29 @@ impl Thresholds {
         spec
     }
 
-    /// The level selector `machine`'s ladder decides with, shaped as the
-    /// corpus scorer and `smtd` sessions shape it.
-    fn selector(&self, machine: &MachineConfig) -> Result<LevelSelector, Error> {
-        let policy = ReplayPolicy {
-            threshold_top: self.top,
-            threshold_mid: self.mid,
-            ..ReplayPolicy::default()
-        };
-        smt_select::corpus::selector_for_machine(machine, &policy)
+    /// The fixed-threshold ladder `machine` decides with, as the corpus
+    /// scorer and `smtd` sessions build it.
+    fn selector(&self, machine: &MachineConfig) -> LevelSelector {
+        LevelSelector::ladder(machine.arch.max_smt, self.top, self.mid)
     }
+}
+
+/// The text rendering of a session's answer.
+fn print_recommendation(rec: &Recommendation) {
+    println!(
+        "recommend  : {} (SMTsm {:.4}, confidence {:.2}, {} windows)",
+        rec.level, rec.smtsm, rec.confidence, rec.windows
+    );
+}
+
+/// Cycles a simulated counter source runs before its first window, so
+/// early windows measure steady state rather than cold caches.
+const SIM_WARMUP_CYCLES: u64 = 25_000;
+
+/// The simulator as a counter source: `spec` at `cfg`'s top SMT level.
+fn sim_backend(cfg: &MachineConfig, name: &str, spec: WorkloadSpec) -> Box<dyn CounterBackend> {
+    let sim = Simulation::new(cfg.clone(), cfg.arch.max_smt, SyntheticWorkload::new(spec));
+    Box::new(SimBackend::new(name, sim).warmup(SIM_WARMUP_CYCLES))
 }
 
 /// A local stand-in for an `smtd` session. Its parameters come from the
@@ -266,87 +282,72 @@ fn cmd_analyze(mut f: Flags) -> Result<(), Error> {
     let (cfg, label) = machine(&machine_name)?;
     let spec = find_spec(&name)?.scaled(scale);
     let top = cfg.arch.max_smt;
-    let mspec = MetricSpec::for_arch(&cfg.arch);
 
+    // The `collect` pipeline at 8 windows: the answer is the one
+    // `collect <bench> --windows 8` prints and `smtd` serves for the same
+    // counter stream, whichever rendering is asked for.
+    let sspec = th.session_spec(&machine_name);
+    let mut collector = Collector::new(sim_backend(&cfg, &name, spec.clone()));
+    let windows = collector.collect(8, sspec.window_cycles)?;
+    let Some(last) = windows.last() else {
+        return Err(Error::InvalidWorkload(format!(
+            "{} finishes inside the {SIM_WARMUP_CYCLES}-cycle warm-up at --scale {scale}, \
+             so no window was measured; raise --scale",
+            spec.name
+        )));
+    };
+    let mut session = session(&sspec)?;
+    session.ingest(&windows);
+    let rec = session.recommend();
     if json {
-        // Offline analysis through the daemon's own session type: stream
-        // top-level windows into a Session and print its recommendation,
-        // so this line is byte-identical to what `smtd` would serve for
-        // the same counter stream.
-        let sspec = th.session_spec(&machine_name);
-        let mut session = session(&sspec)?;
-        let mut sim = Simulation::new(cfg, top, SyntheticWorkload::new(spec));
-        sim.run_cycles(25_000);
-        for _ in 0..8 {
-            if sim.finished() {
-                break;
-            }
-            let m = sim.measure_window(sspec.window_cycles);
-            session.ingest(std::slice::from_ref(&m));
-        }
-        return print_json(&session.recommend());
+        return print_json(&rec);
     }
 
-    let mut sim = Simulation::new(cfg.clone(), top, SyntheticWorkload::new(spec.clone()));
-    sim.run_cycles(25_000);
-    let window = sim.measure_window(60_000);
-    let factors = smtsm_factors(&mspec, &window);
-    let pref = ThresholdPredictor::fixed(th.top).predict(factors.value());
-
-    println!("benchmark : {} on {label} @ {top}", spec.name);
     println!(
-        "factors   : mix-deviation {:.4}  disp-held {:.4}  scalability {:.4}",
-        factors.mix_deviation, factors.disp_held, factors.scalability
+        "benchmark  : {} on {label} @ {top}, {} cycles per window",
+        spec.name, sspec.window_cycles
     );
     println!(
-        "SMTsm     : {:.4}  (threshold {:.4})",
-        factors.value(),
-        th.top
+        "factors    : mix-deviation {:.4}  disp-held {:.4}  scalability {:.4}  (last window)",
+        rec.factors.mix_deviation, rec.factors.disp_held, rec.factors.scalability
     );
+    let (used, held, other) = last.utilization_breakdown(cfg.arch.dispatch_width as u64);
     println!(
-        "verdict   : prefer {} SMT",
-        match pref {
-            SmtPreference::Higher => "the HIGHER",
-            SmtPreference::Lower => "a LOWER",
-        }
-    );
-    let (used, held, other) = window.utilization_breakdown(cfg.arch.dispatch_width as u64);
-    println!(
-        "dispatch  : {:.0}% used, {:.0}% held, {:.0}% idle/stalled",
+        "dispatch   : {:.0}% used, {:.0}% held, {:.0}% idle/stalled  (last window)",
         used * 100.0,
         held * 100.0,
         other * 100.0
     );
+    print_recommendation(&rec);
+    let wants = th.selector(&cfg).recommend(rec.smtsm);
+    if rec.level == top && wants < top {
+        println!(
+            "note       : SMTsm points at {wants}, but the decision core leaves {top} only \
+             after {} agreeing windows in a row",
+            sspec.hysteresis
+        );
+    }
 
     if verify {
         println!("\nverify (full runs):");
         let oracle = oracle_sweep(&cfg, || SyntheticWorkload::new(spec.clone()), 2_000_000_000)?;
         for l in &oracle.levels {
-            println!(
-                "  {}: {:.2} work/cycle{}",
-                l.smt,
-                l.result.perf(),
-                if l.smt == oracle.best {
-                    "   <- best"
-                } else {
-                    ""
-                }
-            );
+            println!("  {}: {:.2} work/cycle", l.smt, l.result.perf());
         }
-        let correct = match pref {
-            SmtPreference::Higher => oracle.best == top,
-            SmtPreference::Lower => oracle.best < top,
-        };
+        // The paper's binary call: stay at the top level, or go below it.
+        let correct = (rec.level == top) == (oracle.best == top);
+        let verdict = if correct { "CORRECT" } else { "WRONG" };
         println!(
-            "  prediction was {}",
-            if correct { "CORRECT" } else { "WRONG" }
+            "  best {}, recommended {}: {verdict}",
+            oracle.best, rec.level
         );
     }
     Ok(())
 }
 
 fn cmd_train(mut f: Flags) -> Result<(), Error> {
-    use smt_select::stats::classify::SpeedupCase;
+    use smt_select::metric::TrainingMethod;
+    use smt_select::stats::classify::{BinaryConfusion, SpeedupCase};
     let machine_name = f.get("--machine", "p7".to_string())?;
     let scale = f.get("--scale", 0.3)?;
     let out = f.value::<String>("--out")?;
@@ -379,19 +380,18 @@ fn cmd_train(mut f: Flags) -> Result<(), Error> {
             Some(SpeedupCase::new(r.name.clone(), metric, speedup))
         })
         .collect();
-    let gini = ThresholdPredictor::train_gini(&cases);
-    let ppi = ThresholdPredictor::train_ppi(&cases);
-    let sweep = PpiSweep::run(&cases);
+    let gini = gini_sweep(&cases).best_separator();
+    let ppi = PpiSweep::run(&cases);
+    let accuracy = |threshold| BinaryConfusion::score(&cases, threshold).accuracy() * 100.0;
     println!(
-        "gini threshold : {:.4} (accuracy {:.1}%)",
-        gini.threshold,
-        gini.accuracy(&cases) * 100.0
+        "gini threshold : {gini:.4} (accuracy {:.1}%)",
+        accuracy(gini)
     );
     println!(
         "ppi threshold  : {:.4} (accuracy {:.1}%, avg improvement {:.1}%)",
-        ppi.threshold,
-        ppi.accuracy(&cases) * 100.0,
-        sweep.best_improvement
+        ppi.best_threshold,
+        accuracy(ppi.best_threshold),
+        ppi.best_improvement
     );
     // The shipped defaults are what every untrained consumer (CLI flags,
     // corpus scorer, daemon sessions) resolves to; print the drift so a
@@ -399,14 +399,16 @@ fn cmd_train(mut f: Flags) -> Result<(), Error> {
     println!(
         "shipped default: {DEFAULT_THRESHOLD_TOP:.4} top / {DEFAULT_THRESHOLD_MID:.4} mid \
          (gini drift {:+.4})",
-        gini.threshold - DEFAULT_THRESHOLD_TOP
+        gini - DEFAULT_THRESHOLD_TOP
     );
     if let Some(path) = &out {
+        // The record a trained threshold predictor serializes to.
+        let predictor = |threshold: f64, method: TrainingMethod| serde_json::json!({ "threshold": threshold, "method": method });
         let body = serde_json::json!({
             "machine": machine_name,
             "scale": scale,
-            "gini": gini,
-            "ppi": ppi,
+            "gini": predictor(gini, TrainingMethod::Gini),
+            "ppi": predictor(ppi.best_threshold, TrainingMethod::Ppi),
             "default_threshold_top": DEFAULT_THRESHOLD_TOP,
             "default_threshold_mid": DEFAULT_THRESHOLD_MID,
             "cases": cases,
@@ -522,44 +524,50 @@ fn cmd_tune(mut f: Flags) -> Result<(), Error> {
     let (cfg, label) = machine(&machine_name)?;
     let spec = find_spec(&name)?.scaled(scale);
     let top = cfg.arch.max_smt;
-    if json {
-        // Closed-loop tuning through the daemon's session type: the local
-        // simulation plays the client's machine, applying each level the
-        // session answers with, and the final recommendation is printed
-        // exactly as `smtd` would serve it.
-        let sspec = th.session_spec(&machine_name);
-        let mut session = session(&sspec)?;
-        let mut sim = Simulation::new(cfg, top, SyntheticWorkload::new(spec));
-        while !sim.finished() && sim.now() < 5_000_000_000 {
-            let m = sim.measure_window(sspec.window_cycles);
-            let summary = session.ingest(std::slice::from_ref(&m));
-            if sim.smt() != summary.level && !sim.finished() {
-                sim.reconfigure(summary.level);
-            }
+
+    // Closed-loop tuning through the daemon's session type: the local
+    // simulation plays the client's machine, applying each level the
+    // session answers with, and the final recommendation is the one
+    // `smtd` would serve.
+    let sspec = th.session_spec(&machine_name);
+    let mut session = session(&sspec)?;
+    let mut sim = Simulation::new(cfg, top, SyntheticWorkload::new(spec.clone()));
+    let mut applied = Vec::new();
+    while !sim.finished() && sim.now() < 5_000_000_000 {
+        let m = sim.measure_window(sspec.window_cycles);
+        let summary = session.ingest(std::slice::from_ref(&m));
+        if sim.smt() != summary.level && !sim.finished() {
+            sim.reconfigure(summary.level);
+            applied.extend(summary.switches.into_iter().map(|d| (sim.now(), d)));
         }
-        return print_json(&session.recommend());
+    }
+    let rec = session.recommend();
+    if json {
+        return print_json(&rec);
     }
 
-    let mut sim = Simulation::new(cfg.clone(), top, SyntheticWorkload::new(spec.clone()));
-    let mut ctl = DynamicSmtController::new(
-        th.selector(&cfg)?,
-        MetricSpec::for_arch(&cfg.arch),
-        ControllerConfig::default(),
-    );
-    let report = ctl.run(&mut sim, 5_000_000_000);
+    let cycles = sim.now();
     println!(
-        "tuned {} on {label}: {:.2} work/cycle over {} cycles ({} windows, completed: {})",
-        spec.name, report.perf, report.cycles, report.windows, report.completed
+        "tuned {} on {label}: {:.2} work/cycle over {cycles} cycles ({} windows, completed: {})",
+        spec.name,
+        sim.workload().work_done() as f64 / cycles.max(1) as f64,
+        session.windows(),
+        sim.finished()
     );
-    if report.switches.is_empty() {
-        println!("no switches: stayed at {top}");
+    if applied.is_empty() {
+        println!("no switches: ran at {top} throughout");
     }
-    for s in &report.switches {
-        match s.metric {
-            Some(m) => println!("  cycle {:>10}: -> {} (SMTsm {:.4})", s.at_cycle, s.to, m),
-            None => println!("  cycle {:>10}: -> {} (probe)", s.at_cycle, s.to),
-        }
+    if rec.level != sim.smt() {
+        println!(
+            "note       : the switch to {} came with the last window, so it was not applied",
+            rec.level
+        );
     }
+    for (at, d) in &applied {
+        let why = d.metric.map_or("probe".into(), |m| format!("SMTsm {m:.4}"));
+        println!("  cycle {at:>10}: -> {} ({why})", d.level);
+    }
+    print_recommendation(&rec);
     Ok(())
 }
 
@@ -627,7 +635,7 @@ fn cmd_autotune(mut f: Flags) -> Result<(), Error> {
         if meta.window_cycles > 0 {
             tune.window_cycles = meta.window_cycles;
         }
-        let mut ctl = AutotuneLoop::new(th.selector(&cfg)?, MetricSpec::for_arch(&cfg.arch), tune)?;
+        let mut ctl = AutotuneLoop::new(th.selector(&cfg), MetricSpec::for_arch(&cfg.arch), tune)?;
         let mut dry = DryRunActuator::new();
         let report = ctl
             .run_stream(&mut backend, &mut dry, u64::MAX)
@@ -658,7 +666,7 @@ fn cmd_autotune(mut f: Flags) -> Result<(), Error> {
         window_cycles,
         ..AutotuneConfig::default()
     };
-    let mut ctl = AutotuneLoop::new(th.selector(&cfg)?, MetricSpec::for_arch(&cfg.arch), tune)?;
+    let mut ctl = AutotuneLoop::new(th.selector(&cfg), MetricSpec::for_arch(&cfg.arch), tune)?;
     let mut act = SimActuator::new(Simulation::new(cfg.clone(), top, phased));
 
     let report = if let Some(path) = &record {
@@ -730,9 +738,7 @@ fn cmd_collect(mut f: Flags, record_flag: &str) -> Result<(), Error> {
     let backend: Box<dyn CounterBackend> = match backend_name.as_str() {
         "sim" => {
             let name = first(positional, "benchmark name for the sim backend")?;
-            let spec = find_spec(&name)?.scaled(scale);
-            let sim = Simulation::new(cfg.clone(), cfg.arch.max_smt, SyntheticWorkload::new(spec));
-            Box::new(SimBackend::new(name, sim).warmup(25_000))
+            sim_backend(&cfg, &name, find_spec(&name)?.scaled(scale))
         }
         "perf" => {
             let pid =
@@ -793,10 +799,7 @@ fn cmd_collect(mut f: Flags, record_flag: &str) -> Result<(), Error> {
     if let Some(path) = &report.recorded_to {
         println!("recorded   : {path}");
     }
-    println!(
-        "recommend  : {} (SMTsm {:.4}, confidence {:.2}, {} windows)",
-        rec.level, rec.smtsm, rec.confidence, rec.windows
-    );
+    print_recommendation(&rec);
     Ok(())
 }
 
@@ -825,10 +828,7 @@ fn cmd_replay(mut f: Flags) -> Result<(), Error> {
         }
         let streamed = summary.map(|s| s.total_windows).unwrap_or(0);
         println!("streamed   : {streamed} window(s) from {path} to {addr}");
-        println!(
-            "recommend  : {} (SMTsm {:.4}, confidence {:.2})",
-            rec.level, rec.smtsm, rec.confidence
-        );
+        print_recommendation(&rec);
         return Ok(());
     }
 
@@ -851,10 +851,7 @@ fn cmd_replay(mut f: Flags) -> Result<(), Error> {
         "replayed   : {replayed} window(s) from {path} (machine {})",
         meta.machine
     );
-    println!(
-        "recommend  : {} (SMTsm {:.4}, confidence {:.2})",
-        rec.level, rec.smtsm, rec.confidence
-    );
+    print_recommendation(&rec);
     Ok(())
 }
 

@@ -119,3 +119,57 @@ fn capability_probes_never_fail() {
         assert!(stdout.contains("\"usable\""), "{args:?}: {stdout}");
     }
 }
+
+/// The level a text rendering names on its `recommend` line.
+fn text_level(stdout: &str) -> String {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("recommend"))
+        .and_then(|l| l.trim_start_matches([' ', ':']).split_whitespace().next())
+        .unwrap_or_else(|| panic!("no recommend line in {stdout}"))
+        .to_string()
+}
+
+/// The level a `--json` rendering names, spelled as the text spells it.
+fn json_level(stdout: &str) -> String {
+    let rec: serde_json::Value = serde_json::from_str(stdout.trim_end()).expect("json line");
+    rec.get("level")
+        .and_then(serde_json::Value::as_str)
+        .expect("level field")
+        .to_uppercase()
+}
+
+#[test]
+fn analyze_text_and_json_name_the_same_level() {
+    // Both were judged apart before: a private 60k-cycle window for the
+    // text, the session's 8-window stream for the JSON. These two are the
+    // benchmarks on which the two answers differed.
+    for bench in ["Dedup", "Equake"] {
+        let text = assert_success(&["analyze", bench]);
+        let json = assert_success(&["analyze", bench, "--json"]);
+        assert_eq!(text_level(&text), json_level(&json), "{bench}: {text}");
+    }
+}
+
+#[test]
+fn analyze_without_a_measured_window_names_the_scale() {
+    // Streamcluster finishes inside the warm-up at the default scale, so
+    // there is no window to judge.
+    assert_usage_error(&["analyze", "Streamcluster"], "--scale");
+    assert_usage_error(&["analyze", "Streamcluster", "--json"], "--scale");
+}
+
+#[test]
+fn tune_text_and_json_name_the_same_level() {
+    let text = assert_success(&["tune", "Gafort"]);
+    let json = assert_success(&["tune", "Gafort", "--json"]);
+    assert_eq!(text_level(&text), json_level(&json), "{text}");
+    // Gafort's one switch is decided by the window that completes the run,
+    // so no switch was applied and none may be listed.
+    let cycles = text
+        .split(" cycles (")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .expect("run length in the summary line");
+    assert!(!text.contains(&format!("{cycles}: ->")), "{text}");
+}
