@@ -41,6 +41,6 @@ pub use capability::{CapabilityReport, EventSupport, SupportStatus};
 pub use events::{
     counter_delta, scale_multiplexed, EventDesc, EventKind, EventMap, ScaledCount, ThreadSample,
 };
-pub use perf::{PerfBackend, SelfCount, SelfCounters};
+pub use perf::PerfBackend;
 pub use sim_backend::SimBackend;
 pub use trace::{fnv1a, TraceBackend, TraceMeta, TraceReader, TraceWriter, TRACE_VERSION};

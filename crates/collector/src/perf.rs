@@ -24,6 +24,9 @@
 //!   encodings; optional events that fail to open are skipped and
 //!   reported, required ones fail attachment with a capability report
 //!   embedded in the error.
+//!
+//! The PMU here serves live collection and the capability probe only; the
+//! simulator's own time is split in process by `smt_sim::profile`.
 
 use std::fs::File;
 use std::io::Read as _;
@@ -562,143 +565,6 @@ pub fn host_smt_level() -> SmtLevel {
     }
 }
 
-/// `PERF_TYPE_HARDWARE`.
-const TYPE_HARDWARE: u32 = 0;
-/// `PERF_COUNT_HW_CPU_CYCLES`.
-const HW_CPU_CYCLES: u64 = 0;
-/// `PERF_COUNT_HW_INSTRUCTIONS`.
-const HW_INSTRUCTIONS: u64 = 1;
-
-/// One scaled hardware count from [`SelfCounters`]: the raw value
-/// multiplied by `time_enabled / time_running` (identity when the event
-/// was never multiplexed off the PMU).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelfCount {
-    /// Multiplex-scaled event count.
-    pub value: u64,
-    /// Fraction of the measurement the event was actually counting
-    /// (1.0 = never descheduled from the PMU).
-    pub running_fraction: f64,
-}
-
-/// Self-attached CPU-cycles + instructions counters for the calling
-/// process — the hardware-truth companion to the simulator's TSC-based
-/// phase profile in `repro perf`.
-///
-/// Built on the same raw-syscall layer as [`PerfBackend`], with the same
-/// degradation contract: on hosts where the PMU is masked
-/// (`perf_event_paranoid`, containers, non-x86-64 builds) [`open`]
-/// returns a `SelfCounters` whose [`available`] is `false` and whose
-/// reads are `None` — never an error, never a panic. The
-/// [`try_cycles`]/[`try_instructions`] variants expose the parse path's
-/// actual failures (short or torn kernel reads) as [`Error`] instead of
-/// folding them into `None`.
-///
-/// [`try_cycles`]: SelfCounters::try_cycles
-/// [`try_instructions`]: SelfCounters::try_instructions
-///
-/// [`open`]: SelfCounters::open
-/// [`available`]: SelfCounters::available
-#[derive(Debug, Default)]
-pub struct SelfCounters {
-    cycles: Option<EventFd>,
-    instructions: Option<EventFd>,
-}
-
-impl SelfCounters {
-    /// Try to open both counters on the calling process (pid 0, any CPU),
-    /// enabled immediately. Events that fail to open are simply absent.
-    pub fn open() -> SelfCounters {
-        SelfCounters {
-            cycles: Self::open_one(HW_CPU_CYCLES),
-            instructions: Self::open_one(HW_INSTRUCTIONS),
-        }
-    }
-
-    fn open_one(config: u64) -> Option<EventFd> {
-        let attr = PerfEventAttr {
-            type_: TYPE_HARDWARE,
-            size: ATTR_SIZE,
-            config,
-            read_format: FORMAT_TOTAL_TIME_ENABLED | FORMAT_TOTAL_TIME_RUNNING,
-            flags: FLAG_EXCLUDE_KERNEL | FLAG_EXCLUDE_HV,
-            ..Default::default()
-        };
-        let ret = sys::perf_event_open(&attr, 0, -1, -1);
-        (ret >= 0).then(|| EventFd(ret as i32))
-    }
-
-    /// Whether at least one hardware counter opened.
-    pub fn available(&self) -> bool {
-        self.cycles.is_some() || self.instructions.is_some()
-    }
-
-    /// Current CPU-cycle count since [`SelfCounters::open`]. `None` covers
-    /// both "counter never opened" and any read failure — the lossy
-    /// convenience view of [`SelfCounters::try_cycles`].
-    pub fn cycles(&self) -> Option<SelfCount> {
-        self.cycles.as_ref().and_then(|fd| Self::read_one(fd).ok())
-    }
-
-    /// Current retired-instruction count since [`SelfCounters::open`];
-    /// lossy convenience view of [`SelfCounters::try_instructions`].
-    pub fn instructions(&self) -> Option<SelfCount> {
-        self.instructions
-            .as_ref()
-            .and_then(|fd| Self::read_one(fd).ok())
-    }
-
-    /// Fallible cycle read: `Ok(None)` means the counter never opened
-    /// (masked PMU), `Err` means the kernel read itself went wrong — a
-    /// short or torn read, or a counter that has never been scheduled.
-    pub fn try_cycles(&self) -> Result<Option<SelfCount>, Error> {
-        self.cycles.as_ref().map(Self::read_one).transpose()
-    }
-
-    /// Fallible instruction read; see [`SelfCounters::try_cycles`].
-    pub fn try_instructions(&self) -> Result<Option<SelfCount>, Error> {
-        self.instructions.as_ref().map(Self::read_one).transpose()
-    }
-
-    fn read_one(fd: &EventFd) -> Result<SelfCount, Error> {
-        // Non-group read format: value, time_enabled, time_running.
-        let mut buf = [0u8; 24];
-        let n = sys::read(fd.0, &mut buf);
-        if n < 0 {
-            return Err(Error::Io(format!(
-                "reading perf self-counter failed with errno {}",
-                -n
-            )));
-        }
-        if n != 24 {
-            return Err(Error::InvalidMeasurement(format!(
-                "short perf self-counter read: {n} bytes, expected 24"
-            )));
-        }
-        let word = |i: usize| -> Result<u64, Error> {
-            buf.get(i * 8..(i + 1) * 8)
-                .and_then(|b| <[u8; 8]>::try_from(b).ok())
-                .map(u64::from_ne_bytes)
-                .ok_or_else(|| {
-                    Error::InvalidMeasurement(format!(
-                        "perf self-counter read too short for word {i}"
-                    ))
-                })
-        };
-        let (value, enabled, running) = (word(0)?, word(1)?, word(2)?);
-        if running == 0 {
-            return Err(Error::InvalidMeasurement(
-                "perf self-counter has never been scheduled onto the PMU".to_string(),
-            ));
-        }
-        let scale = enabled as f64 / running as f64;
-        Ok(SelfCount {
-            value: (value as f64 * scale) as u64,
-            running_fraction: (running as f64 / enabled.max(1) as f64).min(1.0),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,19 +610,6 @@ mod tests {
             classify_errno(EINVAL),
             SupportStatus::Missing { .. }
         ));
-    }
-
-    /// A `SelfCounters` with no open events must read as `Ok(None)` on the
-    /// fallible path and `None` on the convenience path — absence is not
-    /// an error, only torn/short kernel reads are.
-    #[test]
-    fn absent_self_counters_read_as_none() {
-        let counters = SelfCounters::default();
-        assert!(!counters.available());
-        assert!(counters.cycles().is_none());
-        assert!(counters.instructions().is_none());
-        assert!(matches!(counters.try_cycles(), Ok(None)));
-        assert!(matches!(counters.try_instructions(), Ok(None)));
     }
 
     /// The probe must *never* panic or error, whatever the host allows —
@@ -809,23 +662,6 @@ mod tests {
             }
             Err(e) => panic!("unexpected error class: {e}"),
         }
-    }
-
-    #[test]
-    fn self_counters_collect_or_degrade_without_panicking() {
-        let sc = SelfCounters::open();
-        // Burn some user-mode work so an available counter has something
-        // to count.
-        let burn: u64 = (0..200_000u64).map(|x| x.wrapping_mul(31)).sum();
-        assert!(burn != 1);
-        // `None` is always legal: the fd may have failed to open (masked
-        // PMU) or the read itself may degrade.
-        if let Some(c) = sc.cycles() {
-            assert!(c.value > 0);
-            assert!(c.running_fraction > 0.0 && c.running_fraction <= 1.0);
-        }
-        // Masked-PMU hosts must land here without an error path.
-        let _ = sc.instructions();
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! [`USAGE`] (printed by `--help`) lists the artifacts and flags.
 //!
-//! `repro perf` self-profiles a fixed simulator matrix, prints per-phase
-//! shares, and writes `results/perf/profile-<label>.json` plus a
-//! flamegraph-ready `flamegraph-<label>.folded`. `--quick` uses smaller
-//! windows (for CI); `--label` names the run (default `local`, or `quick`
-//! under `--quick`). End-to-end simulator speed is measured by the
-//! repository benchmark (`BENCHMARK.json`).
+//! The artifact, when given, is the first argument, and each artifact
+//! reads only its own flags: `score` takes the scorer's, every other
+//! artifact the suite and engine flags below, so a flag meant for another
+//! artifact is a usage error rather than silently ignored.
 //!
 //! `repro score` replays the committed benchmark corpus
 //! (`results/corpus/manifest.json`) through the decision core and scores
@@ -44,7 +42,6 @@ use std::sync::Arc;
 const USAGE: &str = "\
 usage: repro [<artifact>] [--scale S] [--json DIR] [--csv DIR]
              [--no-cache] [--cache-dir DIR] [--serial] [--verbose]
-       repro perf [--quick] [--label NAME]
        repro score [--manifest FILE] [--tier s|m|l] [--resume] [--limit N]
                    [--label NAME] [--out DIR | --no-out]
                    [--check FILE] [--tolerance POINTS]
@@ -61,7 +58,6 @@ artifacts:
   validate                    seed-robustness replicas (not in `all`)
   sched                       Section-V dynamic-selection demo
   autotune                    closed-loop stability-vs-regret study (not in `all`)
-  perf                        simulator phase profiler (not in `all`)
   score                       corpus accuracy scorer (not in `all`)
   all                         everything not marked otherwise (the default)
 ";
@@ -90,7 +86,6 @@ const ARTIFACTS: &[&str] = &[
     "validate",
     "sched",
     "autotune",
-    "perf",
     "score",
 ];
 
@@ -160,45 +155,12 @@ fn dump_json<T: serde::Serialize>(
     Ok(())
 }
 
-/// `repro perf`: self-profile the simulator matrix, print the phase
-/// table, and write `results/perf/profile-<label>.json` plus a
-/// flamegraph-ready `flamegraph-<label>.folded` (feed it to any
-/// `flamegraph.pl`-compatible renderer).
-fn run_perf_cmd(quick: bool, label: Option<String>) -> Result<(), Error> {
-    use smt_experiments::perf;
-    let mut opts = if quick {
-        perf::PerfOptions::quick()
-    } else {
-        perf::PerfOptions::full()
-    };
-    if let Some(label) = label {
-        opts = opts.label(label);
-    }
-    eprintln!(
-        "[repro] profiling simulator phases ({} cycles/window)...",
-        opts.window
-    );
-    let run = perf::run_profile(&opts);
-    print!("{}", run.render());
-
-    let dir = std::path::Path::new("results/perf");
-    std::fs::create_dir_all(dir)?;
-    let json_path = dir.join(format!("profile-{}.json", run.label));
-    let body = serde_json::to_string_pretty(&run).map_err(|e| Error::Serde(e.to_string()))?;
-    std::fs::write(&json_path, body)?;
-    eprintln!("[repro] wrote {}", json_path.display());
-    let folded_path = dir.join(format!("flamegraph-{}.folded", run.label));
-    std::fs::write(&folded_path, run.folded())?;
-    eprintln!("[repro] wrote {}", folded_path.display());
-    Ok(())
-}
-
 /// The `repro score` flags, read into a [`ScoreCmd`].
-fn score_cmd(f: &mut Flags, label: Option<String>) -> Result<ScoreCmd, Error> {
+fn score_cmd(f: &mut Flags) -> Result<ScoreCmd, Error> {
     let mut cmd = ScoreCmd {
         resume: f.switch("--resume"),
         limit: f.value("--limit")?,
-        label,
+        label: f.value("--label")?,
         check: f.value("--check")?,
         ..ScoreCmd::default()
     };
@@ -259,8 +221,34 @@ fn run_score_cmd(cmd: &ScoreCmd) -> Result<(), Error> {
     Ok(())
 }
 
+/// Finish reading `f`: a positional left over is a second artifact, or
+/// one that did not come first.
+fn finish(f: Flags) -> Result<(), Error> {
+    match f.finish()?.first() {
+        None => Ok(()),
+        Some(extra) => Err(Error::Config(format!(
+            "unexpected argument {extra:?}: one artifact at a time, given first"
+        ))),
+    }
+}
+
 fn run(args: Vec<String>) -> Result<(), Error> {
+    let mut args = args.into_iter().peekable();
+    let artifact = match args.next_if(|a| !a.starts_with('-')) {
+        None => "all".to_string(),
+        Some(a) if ARTIFACTS.contains(&a.as_str()) => a,
+        Some(other) => {
+            return Err(Error::Config(format!(
+                "unknown artifact {other:?}; try --help"
+            )))
+        }
+    };
     let mut f = Flags::new(args);
+    if artifact == "score" {
+        let cmd = score_cmd(&mut f)?;
+        finish(f)?;
+        return run_score_cmd(&cmd);
+    }
     let scale = f.get("--scale", 0.3)?;
     let json_dir = f.value::<String>("--json")?;
     let csv_dir = f.value::<String>("--csv")?;
@@ -268,30 +256,7 @@ fn run(args: Vec<String>) -> Result<(), Error> {
     let cache_dir = f.value::<PathBuf>("--cache-dir")?;
     let serial = f.switch("--serial");
     let verbose = f.switch("--verbose");
-    let quick = f.switch("--quick");
-    let label = f.value::<String>("--label")?;
-    let score = score_cmd(&mut f, label.clone())?;
-    let artifact = match f.finish()?.as_slice() {
-        [] => "all".to_string(),
-        [one] if ARTIFACTS.contains(&one.as_str()) => one.clone(),
-        [other] => {
-            return Err(Error::Config(format!(
-                "unknown artifact {other:?}; try --help"
-            )))
-        }
-        many => {
-            return Err(Error::Config(format!(
-                "one artifact at a time, got {}",
-                many.join(" ")
-            )))
-        }
-    };
-    if artifact == "perf" {
-        return run_perf_cmd(quick, label);
-    }
-    if artifact == "score" {
-        return run_score_cmd(&score);
-    }
+    finish(f)?;
     let sink: Arc<dyn ProgressSink> = if verbose {
         Arc::new(StderrSink)
     } else {

@@ -340,12 +340,6 @@ impl Engine {
         Engine::new().with_cache(ResultCache::new(ResultCache::default_dir()))
     }
 
-    /// Cache results under `dir` — fluent shorthand for
-    /// `with_cache(ResultCache::new(dir))`.
-    pub fn cache_dir(self, dir: impl Into<std::path::PathBuf>) -> Engine {
-        self.with_cache(ResultCache::new(dir.into()))
-    }
-
     /// Attach a result cache.
     pub fn with_cache(mut self, cache: ResultCache) -> Engine {
         self.cache = Some(cache);
@@ -357,15 +351,7 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// Attach a progress sink (fluent form; wraps the sink for the
-    /// worker threads).
-    pub fn sink(mut self, sink: impl ProgressSink + 'static) -> Engine {
-        self.sink = Arc::new(sink);
-        self
-    }
-
-    /// Attach an already-shared progress sink. Thin alias of
-    /// [`Engine::sink`] for callers that keep their own handle.
+    /// Attach a progress sink, shared with the worker threads.
     pub fn progress(mut self, sink: Arc<dyn ProgressSink>) -> Engine {
         self.sink = sink;
         self

@@ -21,7 +21,6 @@
 //!   removed).
 //! - [`placement`] — the placement-allocator accuracy study: each search
 //!   strategy's regret against a simulate-every-placement oracle.
-//! - [`perf`] — the simulator self-profiler behind `repro perf`.
 //! - [`score`] — `repro score`: the canonical-corpus accuracy scorer and
 //!   its committed `results/score/` artifacts and regression gate.
 //! - [`cli`] — the strict flag reader and exit-code mapping every binary
@@ -38,7 +37,6 @@ pub mod cache;
 pub mod cli;
 pub mod engine;
 pub mod figures;
-pub mod perf;
 pub mod placement;
 pub mod plot;
 pub mod progress;

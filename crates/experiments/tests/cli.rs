@@ -26,6 +26,15 @@ fn repro_rejects_unknown_flags_and_artifacts() {
 }
 
 #[test]
+fn repro_rejects_flags_its_artifact_does_not_read() {
+    assert_usage_error(REPRO, &["perf"], "perf");
+    assert_usage_error(REPRO, &["table1", "--quick"], "--quick");
+    assert_usage_error(REPRO, &["table1", "--limit", "3"], "--limit");
+    assert_usage_error(REPRO, &["score", "--scale", "0.3"], "--scale");
+    assert_usage_error(REPRO, &["--scale", "0.05", "fig6"], "fig6");
+}
+
+#[test]
 fn repro_rejects_malformed_values() {
     assert_usage_error(REPRO, &["fig6", "--scale", "banana"], "--scale");
     assert_usage_error(REPRO, &["score", "--limit"], "--limit");

@@ -193,17 +193,16 @@ impl DynamicSmtController {
         sim: &mut Simulation<W>,
         max_cycles: u64,
     ) -> ControllerReport {
-        let top = self.top_level();
         let start = sim.now();
         let mut switches = Vec::new();
         let mut windows = 0u64;
 
         while !sim.finished() && sim.now() - start < max_cycles {
-            let parked = sim.smt() != top;
             let m = sim.measure_window(self.cfg.window_cycles);
             windows += 1;
-            if parked && sim.finished() {
-                // A probe return would only burn drain cycles now.
+            if sim.finished() {
+                // The window that completes the run decides nothing: a
+                // switch now would only burn drain cycles.
                 break;
             }
             let d = self.observe(&m);
@@ -346,9 +345,8 @@ mod tests {
         let mut switches = Vec::new();
         let mut replica_level = top;
         while !sim.finished() && sim.now() < 100_000_000 {
-            let parked = sim.smt() != top;
             let m = sim.measure_window(ctl.config().window_cycles);
-            if parked && sim.finished() {
+            if sim.finished() {
                 break;
             }
             let d = ctl.observe(&m);
@@ -365,6 +363,38 @@ mod tests {
             "contended stream must switch down: {switches:?}"
         );
         assert_eq!(replica_level, sim.smt());
+    }
+
+    /// Gafort and Dedup at the default config once switched on the very
+    /// window that finished them; no switch may land at or after the
+    /// run's last cycle.
+    #[test]
+    fn the_completing_window_switches_nothing() {
+        for spec in [catalog::gafort().scaled(0.3), catalog::dedup().scaled(0.3)] {
+            let mut sim = Simulation::new(
+                MachineConfig::power7(1),
+                SmtLevel::Smt4,
+                SyntheticWorkload::new(spec),
+            );
+            let selector = LevelSelector::ladder(
+                SmtLevel::Smt4,
+                smtsm::DEFAULT_THRESHOLD_TOP,
+                smtsm::DEFAULT_THRESHOLD_MID,
+            );
+            let mut ctl = DynamicSmtController::new(
+                selector,
+                MetricSpec::power7(),
+                ControllerConfig::default(),
+            );
+            let report = ctl.run(&mut sim, 100_000_000);
+            assert!(report.completed);
+            assert!(
+                report.switches.iter().all(|s| s.at_cycle < report.cycles),
+                "switch at completion in a {}-cycle run: {:?}",
+                report.cycles,
+                report.switches
+            );
+        }
     }
 
     #[test]

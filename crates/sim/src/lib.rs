@@ -52,6 +52,6 @@ pub use counters::{CoreCounters, ThreadCounters, WindowMeasurement};
 pub use error::Error;
 pub use isa::{Fetched, Instr, InstrClass, DEP_WINDOW, NUM_CLASSES};
 pub use machine::{MachineConfig, RunResult, Simulation, Stepping};
-pub use profile::{ticks_per_sec, PhaseProfile};
+pub use profile::PhaseProfile;
 pub use soa::IssueEngine;
 pub use workload::{ScriptedWorkload, Workload};

@@ -530,8 +530,8 @@ impl<W: Workload> Simulation<W> {
 
     /// Like [`run_cycles`](Self::run_cycles), but timestamps every pipeline
     /// phase of every core-step and accumulates the tick deltas into
-    /// `prof`. Used by `repro perf`; not meant for throughput
-    /// measurement (see the [`crate::profile`] overhead note).
+    /// `prof`. Read by the benchmark's traced run; not meant for
+    /// throughput measurement (see the [`crate::profile`] overhead note).
     pub fn run_cycles_profiled(&mut self, n: u64, prof: &mut PhaseProfile) -> u64 {
         let ran = self.run(n, prof);
         prof.cycles += ran;
